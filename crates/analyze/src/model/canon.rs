@@ -39,6 +39,8 @@
 //! Everything here over-approximates asymmetry: a wrongly-pinned host only
 //! costs reduction, never correctness.
 
+use std::sync::Arc;
+
 use failmpi_backend::BackendKind;
 use failmpi_core::lang::compile::{Action, Class, Dest, Expr, Scenario};
 use failmpi_mpichv::AbstractPhase;
@@ -100,16 +102,24 @@ impl Perm {
         ctx.n_suggested + g * n_hosts + self.hosts[h] as usize
     }
 
-    /// The relabelled product state.
+    /// The relabelled product state. An instance moves to its new slot
+    /// shared; only one whose inbox names a relabelled sender is copied.
     pub(crate) fn apply_state(&self, ctx: &Ctx, s: &ProdState) -> ProdState {
-        let mut insts: Vec<InstState> = s.insts.clone();
-        for (i, old) in s.insts.iter().enumerate() {
-            let mut st = old.clone();
-            for e in &mut st.inbox {
-                e.0 = self.map_inst(ctx, e.0 as usize) as u8;
-            }
-            insts[self.map_inst(ctx, i)] = st;
-        }
+        let inv = self.invert();
+        let insts: Vec<Arc<InstState>> = (0..s.insts.len())
+            .map(|i| {
+                let old = &s.insts[inv.map_inst(ctx, i)];
+                let moved = |from: u8| self.map_inst(ctx, from as usize) != from as usize;
+                if !old.inbox.iter().any(|&(from, _)| moved(from)) {
+                    return Arc::clone(old);
+                }
+                let mut st = InstState::clone(old);
+                for e in &mut st.inbox {
+                    e.0 = self.map_inst(ctx, e.0 as usize) as u8;
+                }
+                Arc::new(st)
+            })
+            .collect();
         let mut msgs: Vec<(u8, u8, u8)> = s
             .msgs
             .iter()
@@ -295,27 +305,76 @@ fn expr_maybe_known(e: &Expr, mk: &[bool], params: &[i64]) -> bool {
 // ---------------------------------------------------------------------------
 // Canonicalization
 // ---------------------------------------------------------------------------
+//
+// Each unpinned machine gets an orbit key: everything observable about it
+// in one state, with other-machine identities abstracted away so the key
+// is invariant under permutations of the *other* unpinned machines.
+// Imperfect tie-breaking is sound — it only merges fewer orbits. As a
+// tuple the key reads
+//
+//   (members, proto, msgs, ranks)
+//
+// * `members` — per group, the member's (node, vars, abstracted inbox,
+//   armed, controlled, suspended); inbox senders become (tag,
+//   id-or-group, same-machine, msg) quadruples;
+// * `proto` — the backend's view: hosted (phase, incarnation) multiset
+//   plus the free-list slot;
+// * `msgs` — in-flight messages touching this machine, endpoints
+//   abstracted, sorted;
+// * `ranks` — rank ids hosted here, only when ranks are NOT symmetric
+//   (when they are, rank identity is erased by the rank pass instead).
+//
+// The key is never built as a tuple. `put_*` below write it into one
+// byte buffer whose memcmp order is the tuple's derived `Ord`, so hosts
+// sort by (bytes, host) without cloning a field. The encoding is
+// prefix-free field by field: a sequence writes 1 before each element
+// and 0 after the last (so a proper prefix sorts first), integers are
+// big-endian (signed ones with the sign bit flipped), and an enum writes
+// its declaration-order tag before its payload. Prefix-free,
+// order-preserving field encodings concatenate into one of the tuple, so
+// the sort — and therefore every orbit representative — is exactly the
+// tuple sort's.
 
-/// One group member's state inside a [`HostKey`]: (node, vars,
-/// abstracted inbox, armed, controlled, suspended). Inbox senders become
-/// (tag, id-or-group, same-machine) triples.
-type MemberKey = (u16, Vec<VarVal>, Vec<(u8, u8, u8, u8)>, Vec<bool>, bool, bool);
+/// A sequence of fixed-width elements: 1 before each, 0 after the last.
+fn put_seq<const N: usize>(buf: &mut Vec<u8>, items: impl IntoIterator<Item = [u8; N]>) {
+    for e in items {
+        buf.push(1);
+        buf.extend_from_slice(&e);
+    }
+    buf.push(0);
+}
 
-/// Everything observable about one machine in one state, with other-machine
-/// identities abstracted away so the key is invariant under permutations of
-/// the *other* unpinned machines. Imperfect tie-breaking is sound — it only
-/// merges fewer orbits.
-#[derive(PartialEq, Eq, PartialOrd, Ord)]
-struct HostKey {
-    /// Per-group member state.
-    members: Vec<MemberKey>,
-    /// The Vcl's view: hosted (phase, incarnation) multiset + free-list slot.
-    proto: (Vec<(AbstractPhase, u8)>, Option<usize>),
-    /// In-flight messages touching this machine, endpoints abstracted.
-    msgs: Vec<(u8, u8, u8, u8, u8)>,
-    /// Rank ids hosted here — only when ranks are NOT symmetric (when they
-    /// are, rank identity is erased by the rank pass instead).
-    ranks: Vec<u8>,
+/// `Known` before `Top`; a `Known` value big-endian with its sign bit
+/// flipped, so negative values sort first.
+fn var_code(v: VarVal) -> [u8; 9] {
+    let (tag, x) = match v {
+        VarVal::Known(x) => (0, (x as u64) ^ (1 << 63)),
+        VarVal::Top => (1, 0),
+    };
+    let mut out = [tag; 9];
+    out[1..].copy_from_slice(&x.to_be_bytes());
+    out
+}
+
+/// One group member: (node, vars, inbox, armed, controlled, suspended).
+fn put_member(buf: &mut Vec<u8>, st: &InstState, inbox: impl Iterator<Item = [u8; 4]>) {
+    buf.extend_from_slice(&st.node.to_be_bytes());
+    put_seq(buf, st.vars.iter().map(|&v| var_code(v)));
+    put_seq(buf, inbox);
+    put_seq(buf, st.armed.iter().map(|&a| [u8::from(a)]));
+    buf.extend_from_slice(&[u8::from(st.controlled), u8::from(st.suspended)]);
+}
+
+/// The backend's per-machine view: (hosted (phase, incarnation), free slot).
+fn put_proto(buf: &mut Vec<u8>, hosted: &[(AbstractPhase, u8)], free: Option<usize>) {
+    put_seq(buf, hosted.iter().map(|&(phase, inc)| [phase as u8, inc]));
+    match free {
+        None => buf.push(0),
+        Some(x) => {
+            buf.push(1);
+            buf.extend_from_slice(&(x as u64).to_be_bytes());
+        }
+    }
 }
 
 fn endpoint_code(ctx: &Ctx, i: usize, h: usize) -> (u8, u8) {
@@ -332,56 +391,48 @@ fn endpoint_code(ctx: &Ctx, i: usize, h: usize) -> (u8, u8) {
     }
 }
 
-fn host_key(ctx: &Ctx, s: &ProdState, h: usize, rank_sym: bool) -> HostKey {
-    let mut members = Vec::with_capacity(ctx.n_groups);
+/// Appends machine `h`'s orbit key to `buf`; `msgs` is scratch space.
+fn put_host_key(
+    buf: &mut Vec<u8>,
+    msgs: &mut Vec<[u8; 5]>,
+    ctx: &Ctx,
+    s: &ProdState,
+    h: usize,
+    rank_sym: bool,
+) {
     for g in 0..ctx.n_groups {
-        let i = ctx.n_suggested + g * ctx.cfg.n_hosts + h;
-        let st = &s.insts[i];
-        let inbox: Vec<(u8, u8, u8, u8)> = st
-            .inbox
-            .iter()
-            .map(|&(from, msg)| {
-                let (tag, idx) = endpoint_code(ctx, from as usize, h);
-                let same = u8::from(tag == 1);
-                (tag, idx, same, msg)
-            })
-            .collect();
-        members.push((
-            st.node,
-            st.vars.clone(),
-            inbox,
-            st.armed.clone(),
-            st.controlled,
-            st.suspended,
-        ));
+        let st = &s.insts[ctx.n_suggested + g * ctx.cfg.n_hosts + h];
+        let inbox = st.inbox.iter().map(|&(from, msg)| {
+            let (tag, idx) = endpoint_code(ctx, from as usize, h);
+            [tag, idx, u8::from(tag == 1), msg]
+        });
+        buf.push(1);
+        put_member(buf, st, inbox);
     }
-    let mut msgs: Vec<(u8, u8, u8, u8, u8)> = Vec::new();
+    buf.push(0);
+    let (hosted, free) = s.proto.host_key(h as u8);
+    put_proto(buf, &hosted, free);
+    msgs.clear();
     for &(f, t, m) in &s.msgs {
         let fc = endpoint_code(ctx, f as usize, h);
         let tc = endpoint_code(ctx, t as usize, h);
         if fc.0 == 1 || tc.0 == 1 {
-            msgs.push((fc.0, fc.1, tc.0, tc.1, m));
+            msgs.push([fc.0, fc.1, tc.0, tc.1, m]);
         }
     }
     msgs.sort_unstable();
-    let ranks = if rank_sym {
-        Vec::new()
-    } else {
-        (0..s.proto.n_units())
-            .filter(|&r| s.proto.unit(r).host as usize == h)
-            .map(|r| r as u8)
-            .collect()
-    };
-    HostKey { members, proto: s.proto.host_key(h as u8), msgs, ranks }
+    put_seq(buf, msgs.iter().copied());
+    let n_ranks = if rank_sym { 0 } else { s.proto.n_units() };
+    put_seq(buf, (0..n_ranks).filter(|&r| s.proto.unit(r).host as usize == h).map(|r| [r as u8]));
 }
 
-/// The canonical orbit representative of `s` and the permutation that maps
-/// `s` onto it. Unpinned machines are sorted by [`HostKey`] and renamed to
-/// the unpinned labels in ascending order; rank slots are then sorted by
-/// (phase, relabelled host, incarnation). Any deterministic sort yields a
-/// sound representative — it is some member of the orbit — and determinism
-/// makes the interned set canonical.
-pub(crate) fn canonicalize(ctx: &Ctx, s: &ProdState) -> (ProdState, Perm) {
+/// The permutation that maps `s` onto its canonical orbit representative
+/// (`perm.apply_state(ctx, s)`). Unpinned machines are sorted by orbit
+/// key and renamed to the unpinned labels in ascending order; rank slots
+/// are then sorted by (phase, relabelled host, incarnation). Any
+/// deterministic sort yields a sound representative — it is some member
+/// of the orbit — and determinism makes the interned set canonical.
+pub(crate) fn canonicalize(ctx: &Ctx, s: &ProdState) -> Perm {
     let n_hosts = ctx.cfg.n_hosts;
     let n_units = ctx.cfg.n_units();
     let prof = &ctx.profile;
@@ -390,13 +441,18 @@ pub(crate) fn canonicalize(ctx: &Ctx, s: &ProdState) -> (ProdState, Perm) {
     if prof.host_sym {
         let unpinned: Vec<usize> = (0..n_hosts).filter(|&h| !prof.pinned[h]).collect();
         if unpinned.len() > 1 {
-            let mut keyed: Vec<(HostKey, usize)> = unpinned
-                .iter()
-                .map(|&h| (host_key(ctx, s, h, prof.rank_sym), h))
-                .collect();
-            keyed.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
-            for (slot, (_, h)) in keyed.iter().enumerate() {
-                host_map[*h] = unpinned[slot] as u8;
+            let mut buf = Vec::with_capacity(unpinned.len() * 64);
+            let mut msgs = Vec::new();
+            // (key start, key end, host)
+            let mut keyed: Vec<(usize, usize, usize)> = Vec::with_capacity(unpinned.len());
+            for &h in &unpinned {
+                let start = buf.len();
+                put_host_key(&mut buf, &mut msgs, ctx, s, h, prof.rank_sym);
+                keyed.push((start, buf.len(), h));
+            }
+            keyed.sort_unstable_by(|a, b| buf[a.0..a.1].cmp(&buf[b.0..b.1]).then(a.2.cmp(&b.2)));
+            for (slot, &(_, _, h)) in keyed.iter().enumerate() {
+                host_map[h] = unpinned[slot] as u8;
             }
         }
     }
@@ -409,18 +465,13 @@ pub(crate) fn canonicalize(ctx: &Ctx, s: &ProdState) -> (ProdState, Perm) {
                 ((rk.phase, host_map[rk.host as usize], rk.incarnation), r)
             })
             .collect();
-        keyed.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
+        keyed.sort_unstable();
         for (new_id, (_, r)) in keyed.iter().enumerate() {
             rank_map[*r] = new_id as u8;
         }
     }
 
-    let perm = Perm { hosts: host_map, ranks: rank_map };
-    if perm.is_identity() {
-        (s.clone(), perm)
-    } else {
-        (perm.apply_state(ctx, s), perm)
-    }
+    Perm { hosts: host_map, ranks: rank_map }
 }
 
 /// Test hook behind [`ModelCheckConfig::permute_seed`]: a seeded shuffle of
@@ -460,4 +511,174 @@ pub(crate) fn seeded_perm(ctx: &Ctx, seed: u64) -> Perm {
         }
     }
     perm
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The orbit key as the tuple it encodes. Its derived `Ord` is the
+    /// reference order the byte encoding must reproduce.
+    type MemberKey = (u16, Vec<VarVal>, Vec<(u8, u8, u8, u8)>, Vec<bool>, bool, bool);
+    type HostKey = (
+        Vec<MemberKey>,
+        (Vec<(AbstractPhase, u8)>, Option<usize>),
+        Vec<(u8, u8, u8, u8, u8)>,
+        Vec<u8>,
+    );
+
+    fn encode(k: &HostKey) -> Vec<u8> {
+        let mut buf = Vec::new();
+        for (node, vars, inbox, armed, controlled, suspended) in &k.0 {
+            let st = InstState {
+                node: *node,
+                vars: vars.clone(),
+                inbox: Vec::new(),
+                armed: armed.clone(),
+                controlled: *controlled,
+                suspended: *suspended,
+            };
+            buf.push(1);
+            put_member(&mut buf, &st, inbox.iter().map(|&(a, b, c, d)| [a, b, c, d]));
+        }
+        buf.push(0);
+        put_proto(&mut buf, &k.1 .0, k.1 .1);
+        put_seq(&mut buf, k.2.iter().map(|&(a, b, c, d, e)| [a, b, c, d, e]));
+        put_seq(&mut buf, k.3.iter().map(|&r| [r]));
+        buf
+    }
+
+    fn assert_same_order(a: &HostKey, b: &HostKey) {
+        assert_eq!(a.cmp(b), encode(a).cmp(&encode(b)), "{a:?} vs {b:?}");
+        assert_eq!(b.cmp(a), encode(b).cmp(&encode(a)), "{b:?} vs {a:?}");
+    }
+
+    fn base() -> HostKey {
+        (
+            vec![(1, vec![VarVal::Known(0)], vec![(1, 0, 1, 2)], vec![true], true, false)],
+            (vec![(AbstractPhase::Running, 0)], None),
+            vec![(1, 0, 2, 0, 1)],
+            vec![3],
+        )
+    }
+
+    #[test]
+    fn encoding_orders_edge_cases_like_the_tuple() {
+        let var = |v: Vec<VarVal>| {
+            let mut k = base();
+            k.0[0].1 = v;
+            k
+        };
+        use VarVal::{Known, Top};
+        // Negative and positive Known values, and Top above every one.
+        for (a, b) in [
+            (Known(-1), Known(1)),
+            (Known(i64::MIN), Known(-1)),
+            (Known(-64), Known(0)),
+            (Known(1), Known(256)),
+            (Known(i64::MAX), Top),
+            (Known(i64::MIN), Top),
+        ] {
+            assert_same_order(&var(vec![a]), &var(vec![b]));
+        }
+        // Unequal lengths: a proper prefix sorts first, a larger element
+        // wins over a longer tail.
+        assert_same_order(&var(vec![Known(0)]), &var(vec![Known(0), Known(0)]));
+        assert_same_order(&var(vec![Known(1)]), &var(vec![Known(0), Top]));
+        assert_same_order(&var(vec![]), &var(vec![Known(i64::MIN)]));
+        let mut long_inbox = base();
+        long_inbox.0[0].2.push((0, 0, 0, 0));
+        assert_same_order(&base(), &long_inbox);
+        let mut no_inbox = base();
+        no_inbox.0[0].2.clear();
+        assert_same_order(&no_inbox, &base());
+        let mut more_msgs = base();
+        more_msgs.2.insert(0, (0, 0, 0, 0, 0));
+        assert_same_order(&base(), &more_msgs);
+        let mut fewer_msgs = base();
+        fewer_msgs.2.clear();
+        assert_same_order(&fewer_msgs, &base());
+        // None vs Some free-host slot, and Some ordered by slot.
+        let free = |f| {
+            let mut k = base();
+            k.1 .1 = f;
+            k
+        };
+        assert_same_order(&free(None), &free(Some(0)));
+        assert_same_order(&free(Some(1)), &free(Some(256)));
+        // Equal keys encode to equal bytes.
+        assert_eq!(encode(&base()), encode(&base()));
+        assert_eq!(encode(&var(vec![Top, Known(-3)])), encode(&var(vec![Top, Known(-3)])));
+    }
+
+    #[test]
+    fn encoding_orders_random_keys_like_the_tuple() {
+        // Small value domains so that many pairs tie on long prefixes.
+        let mut rng = 0x2545_f491_4f6c_dd1du64;
+        let mut next = |n: usize| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            (rng % n as u64) as usize
+        };
+        let vars = [
+            VarVal::Known(i64::MIN),
+            VarVal::Known(-65),
+            VarVal::Known(-1),
+            VarVal::Known(0),
+            VarVal::Known(1),
+            VarVal::Known(64),
+            VarVal::Known(i64::MAX),
+            VarVal::Top,
+        ];
+        let phases = [
+            AbstractPhase::Launched,
+            AbstractPhase::Booted,
+            AbstractPhase::Registered,
+            AbstractPhase::Ready,
+            AbstractPhase::Running,
+            AbstractPhase::Stopping,
+            AbstractPhase::Lost,
+            AbstractPhase::Done,
+        ];
+        let small = [0u8, 1, 255];
+        let mut keys: Vec<HostKey> = Vec::new();
+        for _ in 0..400 {
+            let members = (0..next(3))
+                .map(|_| {
+                    (
+                        [0u16, 1, 255, 256][next(4)],
+                        (0..next(4)).map(|_| vars[next(vars.len())]).collect(),
+                        (0..next(3))
+                            .map(|_| {
+                                (small[next(3)], small[next(3)], small[next(2)], small[next(3)])
+                            })
+                            .collect(),
+                        (0..next(3)).map(|_| next(2) == 1).collect(),
+                        next(2) == 1,
+                        next(2) == 1,
+                    )
+                })
+                .collect();
+            let hosted =
+                (0..next(3)).map(|_| (phases[next(phases.len())], small[next(3)])).collect();
+            let free = [None, Some(0), Some(1), Some(300)][next(4)];
+            let msgs = (0..next(3))
+                .map(|_| {
+                    (small[next(3)], small[next(3)], small[next(3)], small[next(3)], small[next(3)])
+                })
+                .collect();
+            let ranks = (0..next(3)).map(|_| small[next(3)]).collect();
+            keys.push((members, (hosted, free), msgs, ranks));
+        }
+        let encoded: Vec<Vec<u8>> = keys.iter().map(encode).collect();
+        let mut ties = 0;
+        for (a, ea) in keys.iter().zip(&encoded) {
+            for (b, eb) in keys.iter().zip(&encoded) {
+                assert_eq!(a.cmp(b), ea.cmp(eb), "{a:?} vs {b:?}");
+                ties += usize::from(a == b);
+            }
+        }
+        assert!(ties > keys.len(), "the sample should contain equal keys");
+    }
 }

@@ -8,7 +8,9 @@
 //! sequential merge, which keeps flag state identical to the old in-line
 //! mutation because the flags are monotone.
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use failmpi_core::lang::compile::{Action, Dest, Expr, Guard, Scenario};
@@ -63,9 +65,15 @@ pub(crate) struct InstState {
 
 /// One product state: every FAIL instance, the in-flight message multiset,
 /// and the abstract Vcl protocol state.
+///
+/// Instances are shared copy-on-write: a step or a relabelling allocates
+/// only the instances it changes, and every other slot points at the
+/// parent's (or another interned state's) unchanged `InstState`. `Arc`
+/// forwards `Hash`/`Eq`/`Ord` to the instance, so ordering, orbit
+/// representatives and the state digest are those of the plain values.
 #[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub(crate) struct ProdState {
-    pub(crate) insts: Vec<InstState>,
+    pub(crate) insts: Vec<Arc<InstState>>,
     /// Sorted multiset of in-flight FAIL messages `(from, to, msg)` —
     /// deliveries race, so order is not part of the state.
     pub(crate) msgs: Vec<(u8, u8, u8)>,
@@ -625,7 +633,7 @@ impl<'a> Ctx<'a> {
                     let during = s.proto.recovery_active();
                     let desc = s.proto.unit_desc(r as usize);
                     s.proto.apply(AbstractStep::Fault(r), &mut evs);
-                    let mut notes = notes.clone();
+                    let mut notes = notes;
                     notes.push(format!(
                         "fault kills {desc} ({}{})",
                         phase_name(phase),
@@ -636,18 +644,23 @@ impl<'a> Ctx<'a> {
                             notes.push(s.proto.lost_note(*rank));
                         }
                     }
-                    let mut q2 = q.clone();
-                    self.enqueue_events(&mut q2, &evs);
-                    work.push((s, q2, f + 1, notes));
+                    self.enqueue_events(&mut q, &evs);
+                    work.push((s, q, f + 1, notes));
                 }
                 Pend::In { inst, input } => {
-                    let ist = s.insts[inst].clone();
-                    let branches = self.feed(inst, ist, &input, log);
-                    for (ist2, eff, _) in branches {
-                        let mut s2 = s.clone();
-                        s2.insts[inst] = ist2;
-                        let mut q2 = q.clone();
-                        let mut notes2 = notes.clone();
+                    let ist = InstState::clone(&s.insts[inst]);
+                    let mut branches = self.feed(inst, ist, &input, log);
+                    // Extra branches copy the pending work; the last one
+                    // takes it over.
+                    let last = branches.pop().expect("feed yields a branch");
+                    let copies: Vec<_> = branches
+                        .into_iter()
+                        .map(|b| (s.clone(), q.clone(), notes.clone(), b))
+                        .collect();
+                    for (mut s2, mut q2, mut notes2, (ist2, eff, _)) in
+                        copies.into_iter().chain([(s, q, notes, last)])
+                    {
+                        s2.insts[inst] = Arc::new(ist2);
                         for (from, to, msg) in &eff.sends {
                             insert_msg(&mut s2.msgs, (*from as u8, *to as u8, *msg as u8));
                         }
@@ -763,7 +776,8 @@ impl<'a> Ctx<'a> {
         }
 
         // Fast: register / ready (they race the FAIL plane).
-        for step in s.proto.protocol_steps() {
+        let steps = s.proto.protocol_steps();
+        for &step in &steps {
             match step {
                 AbstractStep::Register(r) if !self.rank_suspended(s, r as usize) => {
                     out.push(MoveKind::Register(r));
@@ -783,7 +797,7 @@ impl<'a> Ctx<'a> {
 
         // Slow: spawns and stop-closures only run on a silent FAIL plane.
         if s.msgs.is_empty() {
-            for step in s.proto.protocol_steps() {
+            for &step in &steps {
                 match step {
                     AbstractStep::Spawn(r) => out.push(MoveKind::Spawn(r)),
                     AbstractStep::StopClosure(r) => out.push(MoveKind::StopClosure(r)),
@@ -879,11 +893,11 @@ impl<'a> Ctx<'a> {
                 // `localMPI_setCommand`; the scenario decides whether the
                 // call proceeds.
                 let mut out = Vec::new();
-                let ist = s.insts[*c].clone();
+                let ist = InstState::clone(&s.insts[*c]);
                 let branches = self.feed(*c, ist, &AIn::Breakpoint, log);
                 for (ist2, eff, _) in branches {
                     let mut s2 = s.clone();
-                    s2.insts[*c] = ist2;
+                    s2.insts[*c] = Arc::new(ist2);
                     let mut q = VecDeque::new();
                     let mut notes = Vec::new();
                     for (from, to, msg) in &eff.sends {
@@ -963,11 +977,14 @@ impl<'a> Ctx<'a> {
             succs = por::ample_filter(self, s, succs);
             por_pruned = before - succs.len();
             for succ in &mut succs {
-                let (rep, perm) = canon::canonicalize(self, &succ.micro.st);
-                if rep != succ.micro.st {
-                    orbit_hits += 1;
+                let perm = canon::canonicalize(self, &succ.micro.st);
+                if !perm.is_identity() {
+                    let rep = perm.apply_state(self, &succ.micro.st);
+                    if rep != succ.micro.st {
+                        orbit_hits += 1;
+                    }
+                    succ.micro.st = rep;
                 }
-                succ.micro.st = rep;
                 succ.perm = Some(perm);
             }
         }
@@ -1003,7 +1020,7 @@ pub(crate) struct Explorer<'a> {
 
     // Exploration graph.
     states: Vec<ProdState>,
-    index: HashMap<ProdState, u32>,
+    index: HashMap<ProdState, u32, BuildHasherDefault<WordHasher>>,
     dist: Vec<(u32, u32)>,
     parent: Vec<Option<(u32, String)>>,
     /// Reduce mode: the structural move and raw→canonical permutation
@@ -1021,9 +1038,7 @@ pub(crate) struct Explorer<'a> {
     freeze: Option<(u32, String)>,
     budget_hit: bool,
 
-    /// Raw (pre-canonicalization) initial state and its canonicalizing
-    /// permutation, for witness replay.
-    init_raw: Option<ProdState>,
+    /// The initial state's canonicalizing permutation, for witness replay.
     init_perm: Perm,
     orbit_hits: usize,
     por_pruned: usize,
@@ -1091,7 +1106,7 @@ impl<'a> Explorer<'a> {
             }
         }
 
-        let comm_peers = comm_closure(programs, cfg.n_ranks);
+        let comm_peers = comm_closure(programs);
         let profile = canon::profile_of(sc, &params, cfg, &comm_peers);
 
         let ctx = Ctx {
@@ -1114,7 +1129,7 @@ impl<'a> Explorer<'a> {
             ctx,
             sites,
             states: Vec::new(),
-            index: HashMap::new(),
+            index: HashMap::default(),
             dist: Vec::new(),
             parent: Vec::new(),
             parent_move: Vec::new(),
@@ -1125,7 +1140,6 @@ impl<'a> Explorer<'a> {
             n_expanded: 0,
             freeze: None,
             budget_hit: false,
-            init_raw: None,
             init_perm: Perm::identity(cfg.n_hosts, cfg.n_units()),
             orbit_hits: 0,
             por_pruned: 0,
@@ -1150,7 +1164,7 @@ impl<'a> Explorer<'a> {
                 let v = store(ctx.eval(e, &st.vars));
                 st.vars[*slot] = v;
             }
-            insts.push(st);
+            insts.push(Arc::new(st));
         }
         let mut s = ProdState {
             insts,
@@ -1160,8 +1174,8 @@ impl<'a> Explorer<'a> {
         // Node-0 entry (always vars, timers); builtins' initial nodes have
         // no consumable inbox, so this never branches.
         for i in 0..s.insts.len() {
-            let entered = ctx.enter_node(i, s.insts[i].clone(), 0, &mut log);
-            s.insts[i] = entered.into_iter().next().expect("initial entry").0;
+            let entered = ctx.enter_node(i, InstState::clone(&s.insts[i]), 0, &mut log);
+            s.insts[i] = Arc::new(entered.into_iter().next().expect("initial entry").0);
         }
         for (site, stale) in log {
             self.sites[site].executed = true;
@@ -1179,13 +1193,14 @@ impl<'a> Explorer<'a> {
     }
 
     fn intern(&mut self, s: ProdState) -> u32 {
-        if let Some(&id) = self.index.get(&s) {
-            return id;
-        }
         let id = self.states.len() as u32;
-        self.all_running.push(s.proto.all_running());
-        self.index.insert(s.clone(), id);
-        self.states.push(s);
+        let slot = match self.index.entry(s) {
+            Entry::Occupied(e) => return *e.get(),
+            Entry::Vacant(e) => e,
+        };
+        self.all_running.push(slot.key().proto.all_running());
+        self.states.push(slot.key().clone());
+        slot.insert(id);
         self.dist.push((u32::MAX, u32::MAX));
         self.parent.push(None);
         self.parent_move.push(None);
@@ -1214,13 +1229,10 @@ impl<'a> Explorer<'a> {
 
     pub(crate) fn run(&mut self) {
         let raw = self.initial();
-        let (root, p0) = if self.ctx.cfg.reduce {
-            canon::canonicalize(&self.ctx, &raw)
-        } else {
-            (raw.clone(), Perm::identity(self.ctx.cfg.n_hosts, self.ctx.cfg.n_units()))
-        };
-        self.init_raw = Some(raw);
-        self.init_perm = p0;
+        if self.ctx.cfg.reduce {
+            self.init_perm = canon::canonicalize(&self.ctx, &raw);
+        }
+        let root = self.init_perm.apply_state(&self.ctx, &raw);
         let id = self.intern(root);
         self.dist[id as usize] = (0, 0);
         self.buckets.insert((0, 0), vec![id]);
@@ -1274,17 +1286,13 @@ impl<'a> Explorer<'a> {
                     return;
                 }
                 for succ in exp.succs {
-                    let full_label = if succ.micro.notes.is_empty() {
-                        succ.label
-                    } else {
-                        format!("{} [{}]", succ.label, succ.micro.notes.join("; "))
-                    };
                     let nid = self.intern(succ.micro.st);
                     self.edges[id as usize].push((nid, succ.micro.faults > 0));
                     let cand = (f + succ.micro.faults, steps + 1);
                     if cand < self.dist[nid as usize] {
                         self.dist[nid as usize] = cand;
-                        self.parent[nid as usize] = Some((id, full_label));
+                        self.parent[nid as usize] =
+                            Some((id, full_label(succ.label, &succ.micro.notes)));
                         if let Some(perm) = succ.perm {
                             self.parent_move[nid as usize] =
                                 Some((succ.kind, perm, succ.micro.faults));
@@ -1348,11 +1356,7 @@ impl<'a> Explorer<'a> {
             if micro.faults != *faults {
                 return None;
             }
-            labels.push(if micro.notes.is_empty() {
-                label
-            } else {
-                format!("{label} [{}]", micro.notes.join("; "))
-            });
+            labels.push(full_label(label, &micro.notes));
             u = micro.st;
         }
         Some((labels, u))
@@ -1437,12 +1441,7 @@ impl<'a> Explorer<'a> {
                 .position(|m| m.st == expected && m.faults == *faults)
             {
                 Some(branch) => {
-                    let m = &micros[branch];
-                    if m.notes.is_empty() {
-                        steps.push(label);
-                    } else {
-                        steps.push(format!("{label} [{}]", m.notes.join("; ")));
-                    }
+                    steps.push(full_label(label, &micros[branch].notes));
                     moves.push((cm, *faults, branch));
                 }
                 None => {
@@ -1600,7 +1599,7 @@ impl<'a> Explorer<'a> {
         }
 
         let state_digest = {
-            use std::hash::{Hash, Hasher};
+            use std::hash::Hash;
             let mut h = Fnv1a::new();
             for st in &self.states {
                 st.hash(&mut h);
@@ -1663,9 +1662,10 @@ impl<'a> Explorer<'a> {
         if self.ctx.comm_peers.is_empty() {
             return format!("; rank {lost} is permanently lost");
         }
+        // Ranks without an op-program have no known peers.
         let blocked: Vec<String> = (0..self.ctx.cfg.n_ranks)
             .filter(|r| *r != lost as usize)
-            .filter(|r| self.ctx.comm_peers[*r].contains(&(lost as u32)))
+            .filter(|r| self.ctx.comm_peers.get(*r).is_some_and(|p| p.contains(&(lost as u32))))
             .map(|r| r.to_string())
             .collect();
         if blocked.is_empty() {
@@ -1835,6 +1835,43 @@ fn phase_name(p: failmpi_mpichv::AbstractPhase) -> &'static str {
     }
 }
 
+/// The intern index's hasher: one rotate-xor-multiply per word (the
+/// FxHash recipe). Every key is a checker-generated state, so SipHash's
+/// flooding resistance buys nothing, and interning runs on the sequential
+/// merge path. Only lookups use it; the persisted digest is [`Fnv1a`].
+#[derive(Default)]
+struct WordHasher(u64);
+
+impl WordHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for WordHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.add(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+        }
+        for &b in words.remainder() {
+            self.add(u64::from(b));
+        }
+    }
+}
+
+/// A witness step: the move's label plus the notes its branch raised.
+fn full_label(label: String, notes: &[String]) -> String {
+    if notes.is_empty() {
+        label
+    } else {
+        format!("{label} [{}]", notes.join("; "))
+    }
+}
+
 pub(crate) fn insert_msg(msgs: &mut Vec<(u8, u8, u8)>, m: (u8, u8, u8)) {
     let pos = msgs.partition_point(|x| *x <= m);
     msgs.insert(pos, m);
@@ -1864,11 +1901,8 @@ fn dedup_micro(mut v: Vec<Micro>) -> Vec<Micro> {
 
 /// Transitive closure of "exchanges messages with" over the op-programs —
 /// the communication skeleton leg of the product.
-fn comm_closure(programs: &[Arc<Program>], n_ranks: usize) -> Vec<Vec<u32>> {
-    if programs.is_empty() {
-        return Vec::new();
-    }
-    let n = programs.len().min(n_ranks.max(programs.len()));
+fn comm_closure(programs: &[Arc<Program>]) -> Vec<Vec<u32>> {
+    let n = programs.len();
     let mut adj = vec![std::collections::HashSet::new(); n];
     for (rank, p) in programs.iter().enumerate() {
         for op in p.ops() {

@@ -42,6 +42,9 @@
 //! scenario shape exploits the gap, a case there fails and these
 //! conditions must be tightened until it passes again.
 
+use std::cell::OnceCell;
+use std::sync::Arc;
+
 use super::explore::{Ctx, MoveKind, ProdState, SiteLog, Succ};
 
 /// Returns the successor list to actually expand: either `succs`
@@ -55,16 +58,18 @@ pub(crate) fn ample_filter(ctx: &Ctx, s: &ProdState, succs: Vec<Succ>) -> Vec<Su
     // branches (a breakpoint's halt/release race, a wave fault's victim
     // choice) cannot anchor the ample set, but it does not forbid one:
     // a deterministic candidate may still commute with it branchwise.
-    let mut groups: Vec<Vec<&Succ>> = Vec::new();
-    for sc in &succs {
-        match groups.iter_mut().find(|g| g[0].kind == sc.kind) {
-            Some(g) => g.push(sc),
-            None => groups.push(vec![sc]),
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for (i, sc) in succs.iter().enumerate() {
+        match groups.iter_mut().find(|g| succs[g[0]].kind == sc.kind) {
+            Some(g) => g.push(i),
+            None => groups.push(vec![i]),
         }
     }
     if groups.len() < 2 {
         return succs;
     }
+    let probe =
+        Probe { ctx, succs: &succs, menus: succs.iter().map(|_| OnceCell::new()).collect() };
     // The first single-branch invisible candidate that commutes with
     // every other enabled kind anchors the ample set. Forcing it first
     // can insert steps a minimal freeze path would have left pending —
@@ -73,15 +78,15 @@ pub(crate) fn ample_filter(ctx: &Ctx, s: &ProdState, succs: Vec<Succ>) -> Vec<Su
     // matches the unreduced exploration.
     let ample = groups.iter().position(|g| {
         g.len() == 1
-            && candidate(ctx, s, g[0])
+            && candidate(ctx, s, &succs[g[0]])
             && groups
                 .iter()
-                .filter(|g2| g2[0].kind != g[0].kind)
-                .all(|g2| commutes_kind(ctx, g[0], g2))
+                .filter(|g2| succs[g2[0]].kind != succs[g[0]].kind)
+                .all(|g2| probe.commutes_kind(g[0], g2))
     });
     match ample {
         Some(i) => {
-            let kind = groups[i][0].kind.clone();
+            let kind = succs[groups[i][0]].kind.clone();
             succs.into_iter().filter(|sc| sc.kind == kind).collect()
         }
         None => succs,
@@ -141,42 +146,63 @@ fn pure_delivery(s: &ProdState, succ: &Succ, triple: (u8, u8, u8)) -> bool {
 /// (read by `breakpoint_holder`). Internal node changes are fine.
 fn invisible(ctx: &Ctx, s: &ProdState, s2: &ProdState) -> bool {
     s.insts.iter().zip(&s2.insts).enumerate().all(|(i, (a, b))| {
-        a.controlled == b.controlled
-            && a.suspended == b.suspended
-            && (a.node == b.node
-                || ctx.breakpoint_armed(i, a.node) == ctx.breakpoint_armed(i, b.node))
+        Arc::ptr_eq(a, b)
+            || (a.controlled == b.controlled
+                && a.suspended == b.suspended
+                && (a.node == b.node
+                    || ctx.breakpoint_armed(i, a.node) == ctx.breakpoint_armed(i, b.node)))
     })
 }
 
-/// Branchwise commutation of the single-branch candidate `alpha` with
-/// the (possibly branching) kind whose menu branches are `betas`: the
-/// kind stays enabled after `alpha` with the same branch profile (count,
-/// faults, notes, in order), `alpha` stays enabled and pure from every
-/// branch, and both orders converge branch by branch.
-fn commutes_kind(ctx: &Ctx, alpha: &Succ, betas: &[&Succ]) -> bool {
-    // Enabledness must survive the other move — `apply_move` is only
-    // defined for enabled moves, so probe the menus first.
-    if !ctx.moves(&alpha.micro.st).contains(&betas[0].kind) {
-        return false;
+/// The commutation probes of one expansion. Every candidate probes the
+/// same successors' menus, so each successor's enabled moves are computed
+/// at most once.
+struct Probe<'a, 'c> {
+    ctx: &'a Ctx<'c>,
+    succs: &'a [Succ],
+    menus: Vec<OnceCell<Vec<MoveKind>>>,
+}
+
+impl Probe<'_, '_> {
+    /// Whether `m` is enabled in the state successor `i` leads to.
+    fn enables(&self, i: usize, m: &MoveKind) -> bool {
+        self.menus[i].get_or_init(|| self.ctx.moves(&self.succs[i].micro.st)).contains(m)
     }
-    // The probe states are never interned; their halt logs are discarded
-    // (the branches were already proven not to halt from `s`).
-    let mut scratch = SiteLog::new();
-    let after_alpha = ctx.apply_move(&alpha.micro.st, &betas[0].kind, &mut scratch);
-    if after_alpha.len() != betas.len() {
-        return false;
-    }
-    betas.iter().zip(&after_alpha).all(|(b, ab)| {
-        if ab.faults != b.micro.faults || ab.notes != b.micro.notes {
+
+    /// Branchwise commutation of the single-branch candidate `alpha` with
+    /// the (possibly branching) kind whose menu branches are `betas`: the
+    /// kind stays enabled after `alpha` with the same branch profile
+    /// (count, faults, notes, in order), `alpha` stays enabled and pure
+    /// from every branch, and both orders converge branch by branch.
+    fn commutes_kind(&self, alpha: usize, betas: &[usize]) -> bool {
+        let (ctx, a) = (self.ctx, &self.succs[alpha]);
+        let beta_kind = &self.succs[betas[0]].kind;
+        // Enabledness must survive the other move — `apply_move` is only
+        // defined for enabled moves, so probe the menus first.
+        if !self.enables(alpha, beta_kind) {
             return false;
         }
-        if !ctx.moves(&b.micro.st).contains(&alpha.kind) {
+        // The probe states are never interned; their halt logs are
+        // discarded (the branches were already proven not to halt from
+        // `s`).
+        let mut scratch = SiteLog::new();
+        let after_alpha = ctx.apply_move(&a.micro.st, beta_kind, &mut scratch);
+        if after_alpha.len() != betas.len() {
             return false;
         }
-        let ba = ctx.apply_move(&b.micro.st, &alpha.kind, &mut scratch);
-        let [y] = ba.as_slice() else {
-            return false;
-        };
-        y.faults == 0 && y.notes.is_empty() && y.st == ab.st
-    })
+        betas.iter().zip(&after_alpha).all(|(&bi, ab)| {
+            let b = &self.succs[bi];
+            if ab.faults != b.micro.faults || ab.notes != b.micro.notes {
+                return false;
+            }
+            if !self.enables(bi, &a.kind) {
+                return false;
+            }
+            let ba = ctx.apply_move(&b.micro.st, &a.kind, &mut scratch);
+            let [y] = ba.as_slice() else {
+                return false;
+            };
+            y.faults == 0 && y.notes.is_empty() && y.st == ab.st
+        })
+    }
 }

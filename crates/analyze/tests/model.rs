@@ -92,6 +92,24 @@ fn op_program_skeleton_names_blocked_ranks() {
     );
 }
 
+#[test]
+fn fewer_op_programs_than_ranks_still_diagnose_the_freeze() {
+    // One program for a 4-rank grid: ranks 1..3 have no known peers, so
+    // the diagnosis names no blocked rank instead of indexing past the
+    // communication skeleton.
+    let sc = compile(include_str!("../../core/scenarios/fig10_state_sync.fail")).unwrap();
+    let programs = bt_programs(&BtClass::S, 1);
+    let cfg = ModelCheckConfig {
+        n_ranks: 4,
+        n_hosts: 5,
+        ..ModelCheckConfig::default()
+    };
+    let r = model_check_with_programs(&sc, &programs, &cfg);
+    assert_eq!(r.summary.verdict, StaticVerdict::Freezes);
+    let fc003 = r.diagnostics.iter().find(|d| d.code == "FC003").expect("FC003");
+    assert!(fc003.message.contains("permanently lost"), "got: {}", fc003.message);
+}
+
 // -- alternate protocol backends -------------------------------------------
 
 #[test]
