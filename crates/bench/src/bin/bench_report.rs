@@ -1,9 +1,8 @@
 //! `bench-report` — the machine-readable benchmark pipeline.
 //!
-//! The criterion benches in `benches/` are for interactive investigation;
-//! their vendored harness prints medians but exposes nothing
-//! programmatically. This binary re-times the same smoke-scale suite with
-//! plain wall clocks and writes one JSON document CI can archive and diff:
+//! The workspace's one measurement pipeline: it times the smoke-scale
+//! suite with plain wall clocks and writes one JSON document CI can
+//! archive and diff:
 //!
 //! - every [`failmpi_experiments::robustness::scenario_suite`] scenario,
 //!   run under [`failmpi_experiments::run_one_profiled`], reporting

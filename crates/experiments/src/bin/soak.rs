@@ -102,12 +102,10 @@ fn parse(args: impl Iterator<Item = String>) -> Result<Options, String> {
                     .ok_or("--seed needs a number")?
             }
             "--backend" => {
-                let kind = args
+                o.backend = args
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .ok_or("--backend needs vcl|ulfm|replica")?;
-                failmpi_experiments::set_default_backend(kind);
-                o.backend = kind;
+                    .ok_or("--backend needs vcl|ulfm|replica")?
             }
             "--json" => o.json = Some(args.next().ok_or("--json needs a path")?),
             "--metrics" => o.metrics = Some(args.next().ok_or("--metrics needs a path")?),
@@ -145,6 +143,8 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    // Every scenario spec below picks the backend up from the default.
+    failmpi_experiments::set_default_backend(opts.backend);
     if opts.metrics.is_some() {
         failmpi_experiments::metrics::install_sink();
     }

@@ -18,9 +18,9 @@ pub struct Options {
     /// Write per-run metric snapshots (plus their aggregate) as JSON to
     /// this path (see [`crate::metrics`]).
     pub metrics: Option<String>,
-    /// Scenario lint gate (`--lint off|warn|strict`); also installed as
-    /// the process-wide default so every spec the binary builds picks it
-    /// up.
+    /// Scenario lint gate (`--lint off|warn|strict`); installed as the
+    /// process-wide default by [`Options::install_defaults`] so every spec
+    /// the binary builds picks it up.
     pub lint: Option<LintMode>,
     /// Run the first experiment with causal tracing on and write its
     /// happens-before trace as `failmpi-trace` JSON to this path (see
@@ -32,18 +32,20 @@ pub struct Options {
     pub profile: Option<String>,
     /// Declare that the sweep hunts freezes: with `--lint strict`, run
     /// scenarios the model checker statically classifies as freezing
-    /// instead of refusing them. Also installed as the process-wide
-    /// default (see [`crate::harness::set_default_expect_freeze`]).
+    /// instead of refusing them. Installed as the process-wide default by
+    /// [`Options::install_defaults`].
     pub expect_freeze: bool,
-    /// Protocol backend under test (`--backend vcl|ulfm|replica`); also
-    /// installed as the process-wide default so every spec the binary
-    /// builds picks it up (see [`crate::harness::set_default_backend`]).
+    /// Protocol backend under test (`--backend vcl|ulfm|replica`);
+    /// installed as the process-wide default by
+    /// [`Options::install_defaults`] so every spec the binary builds picks
+    /// it up.
     pub backend: Option<BackendKind>,
 }
 
 impl Options {
     /// Parses `args` (without the program name). Returns `Err(usage)` on
-    /// unknown flags.
+    /// unknown flags. Pure: the process-wide defaults change only through
+    /// [`Options::install_defaults`].
     pub fn parse(args: impl Iterator<Item = String>) -> Result<Options, String> {
         let mut o = Options::default();
         let mut args = args.peekable();
@@ -80,20 +82,15 @@ impl Options {
                         .as_deref()
                         .and_then(LintMode::parse)
                         .ok_or("--lint needs off|warn|strict")?;
-                    set_default_lint_mode(mode);
                     o.lint = Some(mode);
                 }
-                "--expect-freeze" => {
-                    set_default_expect_freeze(true);
-                    o.expect_freeze = true;
-                }
+                "--expect-freeze" => o.expect_freeze = true,
                 "--backend" => {
                     let kind: BackendKind = args
                         .next()
                         .ok_or("--backend needs vcl|ulfm|replica")?
                         .parse()
                         .map_err(|_| "--backend needs vcl|ulfm|replica")?;
-                    set_default_backend(kind);
                     o.backend = Some(kind);
                 }
                 "--help" | "-h" => {
@@ -107,6 +104,21 @@ impl Options {
             }
         }
         Ok(o)
+    }
+
+    /// Installs `--lint`, `--expect-freeze` and `--backend` as the
+    /// process-wide defaults new specs pick up. Call once, before building
+    /// any spec.
+    pub fn install_defaults(&self) {
+        if let Some(mode) = self.lint {
+            set_default_lint_mode(mode);
+        }
+        if self.expect_freeze {
+            set_default_expect_freeze(true);
+        }
+        if let Some(kind) = self.backend {
+            set_default_backend(kind);
+        }
     }
 
     /// Writes `data` as JSON if `--json` was given.
@@ -222,37 +234,25 @@ mod tests {
     }
 
     #[test]
-    fn lint_flag_sets_process_default() {
-        use crate::harness::{default_lint_mode, LintMode};
-        let before = default_lint_mode();
+    fn lint_flag_parses() {
         let o = parse(&["--lint", "strict"]).unwrap();
         assert_eq!(o.lint, Some(LintMode::Strict));
-        assert_eq!(default_lint_mode(), LintMode::Strict);
-        crate::harness::set_default_lint_mode(before);
         assert!(parse(&["--lint", "bogus"]).is_err());
         assert!(parse(&["--lint"]).is_err());
     }
 
     #[test]
-    fn backend_flag_sets_process_default() {
-        use crate::harness::default_backend;
-        let before = default_backend();
+    fn backend_flag_parses() {
         assert_eq!(parse(&[]).unwrap().backend, None);
         let o = parse(&["--backend", "ulfm"]).unwrap();
         assert_eq!(o.backend, Some(BackendKind::Ulfm));
-        assert_eq!(default_backend(), BackendKind::Ulfm);
-        crate::harness::set_default_backend(before);
         assert!(parse(&["--backend", "bogus"]).is_err());
         assert!(parse(&["--backend"]).is_err());
     }
 
     #[test]
-    fn expect_freeze_flag_sets_process_default() {
-        use crate::harness::default_expect_freeze;
+    fn expect_freeze_flag_parses() {
         assert!(!parse(&[]).unwrap().expect_freeze);
-        let o = parse(&["--expect-freeze"]).unwrap();
-        assert!(o.expect_freeze);
-        assert!(default_expect_freeze());
-        crate::harness::set_default_expect_freeze(false);
+        assert!(parse(&["--expect-freeze"]).unwrap().expect_freeze);
     }
 }

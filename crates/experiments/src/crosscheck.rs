@@ -186,16 +186,23 @@ pub struct MatrixRow {
     pub witness_cost: Option<(usize, usize)>,
 }
 
-/// Model-checks every runnable builtin at `n_ranks` grid scale (hosts =
-/// ranks + 1, the one-spare shape), both dispatcher variants, with the
-/// reduced exploration — the paper's figure-by-figure verdict matrix.
+/// Model-checks every runnable builtin at `n_ranks` grid scale under one
+/// backend (hosts = ranks + 1, the one-spare shape), with the reduced
+/// exploration — the paper's figure-by-figure verdict matrix. Vcl rows
+/// cover both dispatcher variants; the other backends check the
+/// historical one only, since the dispatcher variant is a Vcl concept.
 /// `budget` bounds each exploration; the 25-rank matrix completes well
 /// inside the `failck` default.
-pub fn figure_matrix(n_ranks: usize, budget: usize) -> Vec<MatrixRow> {
+pub fn figure_matrix(backend: BackendKind, n_ranks: usize, budget: usize) -> Vec<MatrixRow> {
+    let modes: &[DispatcherMode] = match backend {
+        BackendKind::Vcl => &[DispatcherMode::Historical, DispatcherMode::Fixed],
+        _ => &[DispatcherMode::Historical],
+    };
     let mut out = Vec::new();
     for (name, src, _machine, params) in SCENARIOS {
-        for mode in [DispatcherMode::Historical, DispatcherMode::Fixed] {
+        for &mode in modes {
             let cfg = ModelCheckConfig {
+                backend,
                 params: params.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
                 mode,
                 n_ranks,
@@ -301,44 +308,6 @@ pub fn backend_matrix(seeds: &[u64]) -> Vec<BackendMatrixRow> {
         }
     }
     out
-}
-
-/// Model-checks every runnable builtin at `n_ranks` grid scale under one
-/// backend (hosts = ranks + 1, reduced exploration) — the per-backend
-/// analogue of [`figure_matrix`], historical dispatcher only since the
-/// dispatcher variant is a Vcl concept.
-pub fn backend_figure_matrix(
-    backend: BackendKind,
-    n_ranks: usize,
-    budget: usize,
-) -> Vec<MatrixRow> {
-    SCENARIOS
-        .iter()
-        .map(|(name, src, _machine, params)| {
-            let cfg = ModelCheckConfig {
-                backend,
-                params: params.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
-                mode: DispatcherMode::Historical,
-                n_ranks,
-                n_hosts: n_ranks + 1,
-                budget,
-                reduce: true,
-                ..ModelCheckConfig::default()
-            };
-            let r = model_check_source(src, &cfg);
-            MatrixRow {
-                name,
-                mode: DispatcherMode::Historical,
-                n_ranks,
-                verdict: r.summary.verdict,
-                explored: r.summary.explored,
-                interned: r.summary.interned,
-                orbit_hits: r.summary.orbit_hits,
-                por_pruned: r.summary.por_pruned,
-                witness_cost: r.summary.witness.as_ref().map(|w| (w.faults, w.steps.len())),
-            }
-        })
-        .collect()
 }
 
 /// Renders the cross-backend matrix as an aligned table (the CI artifact).

@@ -49,7 +49,8 @@ macro_rules! figure_config {
 pub(crate) use figure_config;
 
 /// The shared `main` of every figure binary: parses the common CLI flags,
-/// picks the smoke or paper config, applies `--runs`/`--threads`, installs
+/// installs `--lint`/`--expect-freeze`/`--backend` as the process-wide
+/// spec defaults, picks the smoke or paper config, applies `--runs`/`--threads`, installs
 /// the `--metrics` and `--trace-out` sinks, runs the sweep, prints the
 /// rendered figure, and writes the `--json` / `--metrics` / `--trace-out`
 /// outputs. Exits with status 2 on a CLI error, so each binary's `main` is
@@ -66,6 +67,7 @@ pub fn run_figure_main<C: FigureConfig, D: serde::Serialize>(
             std::process::exit(2);
         }
     };
+    opts.install_defaults();
     let mut cfg = pick(opts.smoke);
     if let Some(r) = opts.runs {
         *cfg.runs_mut() = r;

@@ -1,6 +1,14 @@
-//! The FAIL-MPI ↔ MPICH-Vcl binding: one simulation world running the
-//! cluster under a FAIL scenario, exactly as Fig. 3 of the paper deploys
-//! one FAIL-MPI daemon per machine plus a coordinator (`P1`).
+//! The FAIL-MPI ↔ runtime binding: one simulation world running a
+//! protocol backend under a FAIL scenario, exactly as Fig. 3 of the paper
+//! deploys one FAIL-MPI daemon per machine plus a coordinator (`P1`).
+//!
+//! Every backend (MPICH-Vcl, ULFM, replication) goes through one run loop,
+//! [`run_world`], so the fingerprint journal, the wall and deep profiles,
+//! the metrics snapshot and the `--trace-out` causal trace are
+//! backend-agnostic. The public `run_one*` entry points are thin wrappers
+//! that pick the backend and the observations; the ones that hand the
+//! final state back ([`run_one_keeping_cluster`], [`run_one_traced`])
+//! return the Vcl [`Cluster`].
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::{DefaultHasher, Hash, Hasher};
@@ -44,7 +52,7 @@ impl Workload {
     }
 }
 
-use crate::classify::{classify, classify_entries, Outcome};
+use crate::classify::{classify_entries, Outcome};
 
 /// How the harness treats static-analysis findings on a spec's scenario
 /// (see `failmpi-analyze`): ignore them, print them once per distinct
@@ -76,25 +84,16 @@ impl LintMode {
 /// Process-wide default lint mode, picked up by [`InjectionSpec::new`].
 /// The `--lint` flag (see [`crate::cli::Options`]) sets it before any spec
 /// is built, so every figure binary inherits the gate without plumbing.
-static DEFAULT_LINT: AtomicU8 = AtomicU8::new(1); // LintMode::Warn
+static DEFAULT_LINT: AtomicU8 = AtomicU8::new(LintMode::Warn as u8);
 
 /// Sets the process-wide default [`LintMode`] for new [`InjectionSpec`]s.
 pub fn set_default_lint_mode(mode: LintMode) {
-    let v = match mode {
-        LintMode::Off => 0,
-        LintMode::Warn => 1,
-        LintMode::Strict => 2,
-    };
-    DEFAULT_LINT.store(v, Ordering::Relaxed);
+    DEFAULT_LINT.store(mode as u8, Ordering::Relaxed);
 }
 
 /// The current process-wide default [`LintMode`].
 pub fn default_lint_mode() -> LintMode {
-    match DEFAULT_LINT.load(Ordering::Relaxed) {
-        0 => LintMode::Off,
-        2 => LintMode::Strict,
-        _ => LintMode::Warn,
-    }
+    [LintMode::Off, LintMode::Warn, LintMode::Strict][DEFAULT_LINT.load(Ordering::Relaxed) as usize]
 }
 
 /// Process-wide default for [`InjectionSpec::expect_freeze`], set by the
@@ -116,25 +115,16 @@ pub fn default_expect_freeze() -> bool {
 /// Process-wide default protocol backend, set by the `--backend` CLI flag
 /// (see [`crate::cli::Options`]) before any spec is built, so every figure
 /// binary inherits it without plumbing.
-static DEFAULT_BACKEND: AtomicU8 = AtomicU8::new(0); // BackendKind::Vcl
+static DEFAULT_BACKEND: AtomicU8 = AtomicU8::new(BackendKind::Vcl as u8);
 
 /// Sets the process-wide default [`BackendKind`] for new specs.
 pub fn set_default_backend(kind: BackendKind) {
-    let v = match kind {
-        BackendKind::Vcl => 0,
-        BackendKind::Ulfm => 1,
-        BackendKind::Replica => 2,
-    };
-    DEFAULT_BACKEND.store(v, Ordering::Relaxed);
+    DEFAULT_BACKEND.store(kind as u8, Ordering::Relaxed);
 }
 
 /// The current process-wide default [`BackendKind`].
 pub fn default_backend() -> BackendKind {
-    match DEFAULT_BACKEND.load(Ordering::Relaxed) {
-        1 => BackendKind::Ulfm,
-        2 => BackendKind::Replica,
-        _ => BackendKind::Vcl,
-    }
+    BackendKind::all()[DEFAULT_BACKEND.load(Ordering::Relaxed) as usize]
 }
 
 /// How a FAIL scenario is attached to the cluster.
@@ -396,16 +386,6 @@ enum ProbeKind {
     Epoch,
 }
 
-impl ProbeKind {
-    fn of_name(name: &str) -> Option<ProbeKind> {
-        match name {
-            "committed_wave" => Some(ProbeKind::CommittedWave),
-            "epoch" => Some(ProbeKind::Epoch),
-            _ => None,
-        }
-    }
-}
-
 struct FailSide {
     rt: FailRuntime,
     rng: SimRng,
@@ -419,8 +399,8 @@ struct FailSide {
 
 /// One simulation world: any [`ProtocolBackend`] under an optional FAIL
 /// deployment. The harness's binding logic — action application, hook and
-/// probe pumping, fingerprinting — is backend-generic; only construction
-/// and the Vcl-specific instrumentation paths below are concrete.
+/// probe pumping, fingerprinting — is backend-generic; only backend
+/// construction is concrete.
 struct World<C: ProtocolBackend> {
     cluster: C,
     fail: Option<FailSide>,
@@ -534,41 +514,26 @@ impl<C: ProtocolBackend> World<C> {
                 let Some(fail) = self.fail.as_mut() else {
                     continue;
                 };
-                let input = match h {
-                    Hook::OnLoad { host, proc } => fail
-                        .host_instance
-                        .get(&host)
-                        .map(|&i| FailInput::OnLoad {
-                            instance: i,
-                            proc: proc.0 as u64,
-                        }),
-                    Hook::OnExit { host, proc } => fail
-                        .host_instance
-                        .get(&host)
-                        .map(|&i| FailInput::OnExit {
-                            instance: i,
-                            proc: proc.0 as u64,
-                        }),
-                    Hook::OnError { host, proc } => fail
-                        .host_instance
-                        .get(&host)
-                        .map(|&i| FailInput::OnError {
-                            instance: i,
-                            proc: proc.0 as u64,
-                        }),
-                    Hook::Breakpoint { host, proc, func } => fail
-                        .host_instance
-                        .get(&host)
-                        .map(|&i| FailInput::Breakpoint {
-                            instance: i,
-                            proc: proc.0 as u64,
-                            func: func_name(func).to_string(),
-                        }),
+                let (Hook::OnLoad { host, proc }
+                | Hook::OnExit { host, proc }
+                | Hook::OnError { host, proc }
+                | Hook::Breakpoint { host, proc, .. }) = h;
+                let Some(&instance) = fail.host_instance.get(&host) else {
+                    continue;
                 };
-                if let Some(input) = input {
-                    let acts = fail.rt.feed(input, &mut fail.rng);
-                    self.apply(now, acts, sched);
-                }
+                let proc = proc.0 as u64;
+                let input = match h {
+                    Hook::OnLoad { .. } => FailInput::OnLoad { instance, proc },
+                    Hook::OnExit { .. } => FailInput::OnExit { instance, proc },
+                    Hook::OnError { .. } => FailInput::OnError { instance, proc },
+                    Hook::Breakpoint { func, .. } => FailInput::Breakpoint {
+                        instance,
+                        proc,
+                        func: func_name(func).to_string(),
+                    },
+                };
+                let acts = fail.rt.feed(input, &mut fail.rng);
+                self.apply(now, acts, sched);
             }
         }
     }
@@ -697,13 +662,202 @@ pub fn programs_for(spec: &ExperimentSpec) -> Vec<Arc<Program>> {
     }
 }
 
+/// Which observations [`run_world`] switches on beyond the record itself.
+#[derive(Clone, Copy, Default)]
+struct Instrumentation {
+    /// Per-event fingerprint journal (see [`run_one_instrumented`]).
+    journal: bool,
+    /// Wall-clock handler profile (see [`run_one_profiled`]).
+    profile: bool,
+    /// Happens-before log (see [`run_one_traced`]).
+    causal: bool,
+}
+
+/// One finished [`run_world`]: the classified record, the final backend
+/// state, and whatever the [`Instrumentation`] asked for.
+struct WorldRun<C> {
+    record: RunRecord,
+    cluster: C,
+    journal: Option<Vec<JournalEntry>>,
+    profile: WallProfile,
+    causal: CausalLog,
+}
+
+/// The one run loop: drives a constructed backend under the spec's
+/// scenario, tie-break and timeout, classifies the run from the backend's
+/// lifecycle trace, and feeds the process sinks (metrics, deep profile,
+/// `--trace-out`). Every public entry point is a thin wrapper over this,
+/// so every observation is available on every backend.
+fn run_world<C: ProtocolBackend>(
+    spec: &ExperimentSpec,
+    cluster: C,
+    instrumentation: Instrumentation,
+) -> WorldRun<C> {
+    // The `--trace-out` sink claims exactly one run per invocation; the
+    // claimed run pays for causal tracing, every other run keeps the
+    // zero-overhead disabled path (see `crate::tracesink`).
+    let trace_claimed = crate::tracesink::claim();
+    let backend = cluster.kind().name();
+    let fail = spec.injection.as_ref().map(|inj| {
+        let hosts: Vec<HostId> = (0..cluster.n_compute_hosts())
+            .map(|i| cluster.compute_host(i))
+            .collect();
+        build_fail_side(inj, spec.seed, &hosts)
+    });
+
+    let mut engine = Engine::with_tie_break(World { cluster, fail }, spec.tie_break);
+    if instrumentation.journal {
+        engine.enable_fingerprint_journal();
+    }
+    if instrumentation.profile {
+        engine.enable_profiling();
+    }
+    if instrumentation.causal || trace_claimed {
+        engine.enable_causal_trace();
+    }
+    // Deep profiling covers the whole schedule, including the boot
+    // events pushed below, so the context opens before the first push.
+    let deep_profile = crate::profsink::armed();
+    if deep_profile {
+        failmpi_obs::prof::start_run(backend);
+    }
+    // Initial cluster events.
+    for (t, e) in engine.model_mut().cluster.take_outputs() {
+        engine.schedule(t, WEv::C(e));
+    }
+    // Initial FAIL actions (timer arming at t = 0).
+    if engine.model().fail.is_some() {
+        let start_actions = {
+            let fail = engine.model_mut().fail.as_mut().expect("checked");
+            fail.rt.start(&mut fail.rng)
+        };
+        for a in start_actions {
+            let (at, ev) = match a {
+                FailAction::ArmTimer { instance, timer, gen, delay } => {
+                    (SimTime::ZERO + delay, WEv::FailTimer { instance, timer, gen })
+                }
+                FailAction::SendMsg { from, to, msg } => {
+                    (SimTime::ZERO, WEv::FailMsg { from, to, msg })
+                }
+                other => panic!("unexpected start action {other:?}"),
+            };
+            engine.schedule(at, ev);
+        }
+    }
+
+    let engine_outcome = engine.run(spec.timeout);
+    if deep_profile {
+        if let Some(p) = failmpi_obs::prof::finish_run() {
+            crate::profsink::submit(p);
+        }
+    }
+    let end = engine.now();
+    let fingerprint = engine.fingerprint();
+    let events = engine.events_handled();
+    let queue_hwm = engine.queue_depth_hwm();
+    let profile = engine.profile().clone();
+    let journal = instrumentation
+        .journal
+        .then(|| engine.take_fingerprint_journal());
+    let causal = engine.take_causal_log();
+    let World { cluster, fail } = engine.into_model();
+    let outcome = classify_entries(
+        cluster.trace().entries(),
+        cluster.is_complete(),
+        engine_outcome,
+        end,
+        spec.timeout,
+        spec.freeze_window,
+    );
+    let faults_injected = fail.as_ref().map_or(0, |f| f.halts);
+
+    let mut metrics = MetricsSnapshot::new();
+    metrics.set_backend(backend);
+    cluster.contribute_metrics(&mut metrics);
+    metrics.set_counter("sim.events_handled", events);
+    metrics.set_counter("sim.queue_depth_hwm", queue_hwm as u64);
+    metrics.set_counter("sim.end_micros", end.as_micros());
+    metrics.set_counter("harness.faults_injected", u64::from(faults_injected));
+    crate::metrics::submit(&metrics);
+
+    // Run summary counts come from the backend's metrics registry rather
+    // than the trace, so they survive `record_trace = false`.
+    let record = RunRecord {
+        outcome,
+        end,
+        faults_injected,
+        recoveries: cluster.recoveries_started() as usize,
+        waves_committed: cluster.waves_committed() as usize,
+        max_progress: cluster.max_progress(),
+        traffic: cluster.traffic(),
+        fingerprint,
+        events,
+        metrics,
+    };
+    if trace_claimed {
+        crate::tracesink::submit(crate::tracesink::build_trace_file(
+            &format!("seed-{}", spec.seed),
+            spec.seed,
+            &record.outcome,
+            end.as_micros(),
+            cluster.trace().entries(),
+            &causal,
+            &world_track_names(&cluster),
+        ));
+    }
+    WorldRun {
+        record,
+        cluster,
+        journal,
+        profile,
+        causal,
+    }
+}
+
+/// The Vcl runtime for a spec: the paper's MPICH-V cluster executing the
+/// spec's op-programs.
+fn vcl_cluster(spec: &ExperimentSpec) -> Cluster {
+    Cluster::new(spec.cluster.clone(), programs_for(spec), spec.seed)
+}
+
+/// Runs `spec` on the backend [`ExperimentSpec::backend`] names and keeps
+/// what every backend shares: the record, the wall profile and, when
+/// `keep_trace` is set, the lifecycle trace.
+fn run_spec_backend(
+    spec: &ExperimentSpec,
+    instrumentation: Instrumentation,
+    keep_trace: bool,
+) -> (RunRecord, WallProfile, Vec<TraceEntry<VclEvent>>) {
+    fn run_on<C: ProtocolBackend>(
+        spec: &ExperimentSpec,
+        cluster: C,
+        instrumentation: Instrumentation,
+        keep_trace: bool,
+    ) -> (RunRecord, WallProfile, Vec<TraceEntry<VclEvent>>) {
+        let run = run_world(spec, cluster, instrumentation);
+        let entries = if keep_trace { run.cluster.trace().entries().to_vec() } else { Vec::new() };
+        (run.record, run.profile, entries)
+    }
+    match spec.backend {
+        BackendKind::Vcl => run_on(spec, vcl_cluster(spec), instrumentation, keep_trace),
+        BackendKind::Ulfm => {
+            let (cfg, ops) = backend_runtime_inputs(spec);
+            run_on(spec, UlfmCluster::new(cfg, ops, spec.seed), instrumentation, keep_trace)
+        }
+        BackendKind::Replica => {
+            let (cfg, ops) = backend_runtime_inputs(spec);
+            run_on(spec, ReplicaCluster::new(cfg, ops, spec.seed), instrumentation, keep_trace)
+        }
+    }
+}
+
 /// Runs one experiment to completion or timeout and classifies it,
 /// dispatching on [`ExperimentSpec::backend`].
 ///
 /// Panics when the spec's scenario fails its [`LintMode::Strict`] gate;
 /// use [`try_run_one`] for a non-panicking strict check.
 pub fn run_one(spec: &ExperimentSpec) -> RunRecord {
-    run_one_with_trace(spec).0
+    run_spec_backend(spec, Instrumentation::default(), false).0
 }
 
 /// Like [`run_one`], additionally returning the run's lifecycle trace in
@@ -712,21 +866,8 @@ pub fn run_one(spec: &ExperimentSpec) -> RunRecord {
 /// suite recounts metrics from it without needing the backend-specific
 /// cluster back.
 pub fn run_one_with_trace(spec: &ExperimentSpec) -> (RunRecord, Vec<TraceEntry<VclEvent>>) {
-    match spec.backend {
-        BackendKind::Vcl => {
-            let (record, cluster) = run_one_keeping_cluster(spec);
-            let entries = cluster.trace().entries().to_vec();
-            (record, entries)
-        }
-        BackendKind::Ulfm => {
-            let (cfg, ops) = backend_runtime_inputs(spec);
-            run_backend(spec, UlfmCluster::new(cfg, ops, spec.seed))
-        }
-        BackendKind::Replica => {
-            let (cfg, ops) = backend_runtime_inputs(spec);
-            run_backend(spec, ReplicaCluster::new(cfg, ops, spec.seed))
-        }
-    }
+    let (record, _, entries) = run_spec_backend(spec, Instrumentation::default(), true);
+    (record, entries)
 }
 
 /// Derives the generic backends' runtime inputs from a spec. The
@@ -779,103 +920,6 @@ fn backend_runtime_inputs(spec: &ExperimentSpec) -> (BackendConfig, Vec<u32>) {
     (cfg, ops)
 }
 
-/// Runs a constructed non-Vcl backend under the spec's scenario, timeout
-/// and classification, producing the same [`RunRecord`] surface as the
-/// Vcl path. The Vcl-only instrumentation modes (trace sink, fingerprint
-/// journal, wall profile, causal export) do not apply here.
-fn run_backend<C: ProtocolBackend>(
-    spec: &ExperimentSpec,
-    cluster: C,
-) -> (RunRecord, Vec<TraceEntry<VclEvent>>) {
-    let fail = spec.injection.as_ref().map(|inj| {
-        let hosts: Vec<HostId> = (0..cluster.n_compute_hosts())
-            .map(|i| cluster.compute_host(i))
-            .collect();
-        build_fail_side(inj, spec.seed, &hosts)
-    });
-    let mut engine = Engine::with_tie_break(World { cluster, fail }, spec.tie_break);
-    // Deep profiling covers the whole schedule, including the boot
-    // events pushed below, so the context opens before the first push.
-    let deep_profile = crate::profsink::armed();
-    if deep_profile {
-        failmpi_obs::prof::start_run(spec.backend.name());
-    }
-    for (t, e) in engine.model_mut().cluster.take_outputs() {
-        engine.schedule(t, WEv::C(e));
-    }
-    if engine.model().fail.is_some() {
-        let start_actions = {
-            let fail = engine.model_mut().fail.as_mut().expect("checked");
-            fail.rt.start(&mut fail.rng)
-        };
-        for a in start_actions {
-            match a {
-                FailAction::ArmTimer {
-                    instance,
-                    timer,
-                    gen,
-                    delay,
-                } => engine.schedule(
-                    SimTime::ZERO + delay,
-                    WEv::FailTimer {
-                        instance,
-                        timer,
-                        gen,
-                    },
-                ),
-                FailAction::SendMsg { from, to, msg } => {
-                    engine.schedule(SimTime::ZERO, WEv::FailMsg { from, to, msg })
-                }
-                other => panic!("unexpected start action {other:?}"),
-            }
-        }
-    }
-
-    let engine_outcome = engine.run(spec.timeout);
-    if deep_profile {
-        if let Some(p) = failmpi_obs::prof::finish_run() {
-            crate::profsink::submit(p);
-        }
-    }
-    let end = engine.now();
-    let fingerprint = engine.fingerprint();
-    let events = engine.events_handled();
-    let queue_hwm = engine.queue_depth_hwm();
-    let world = engine.into_model();
-    let outcome = classify_entries(
-        world.cluster.trace().entries(),
-        world.cluster.is_complete(),
-        engine_outcome,
-        end,
-        spec.timeout,
-        spec.freeze_window,
-    );
-    let faults_injected = world.fail.as_ref().map_or(0, |f| f.halts);
-
-    let mut metrics = MetricsSnapshot::new();
-    metrics.set_backend(spec.backend.name());
-    world.cluster.contribute_metrics(&mut metrics);
-    metrics.set_counter("sim.events_handled", events);
-    metrics.set_counter("sim.queue_depth_hwm", queue_hwm as u64);
-    metrics.set_counter("sim.end_micros", end.as_micros());
-    metrics.set_counter("harness.faults_injected", u64::from(faults_injected));
-    crate::metrics::submit(&metrics);
-
-    let record = RunRecord {
-        outcome,
-        end,
-        faults_injected,
-        recoveries: world.cluster.recoveries_started() as usize,
-        waves_committed: world.cluster.waves_committed() as usize,
-        max_progress: world.cluster.max_progress(),
-        traffic: world.cluster.traffic(),
-        fingerprint,
-        events,
-        metrics,
-    };
-    (record, world.cluster.trace().entries().to_vec())
-}
-
 /// Like [`run_one`], but lints the scenario at strict severity first
 /// (whatever the spec's own [`LintMode`]) and returns the report instead
 /// of running when it has `Error`-level findings.
@@ -890,22 +934,29 @@ pub fn try_run_one(spec: &ExperimentSpec) -> Result<RunRecord, Report> {
     Ok(run_one(spec))
 }
 
-/// Like [`run_one`], additionally returning the final cluster state (for
-/// trace validation and post-mortem inspection).
+/// Like [`run_one`] on the Vcl runtime, additionally returning the final
+/// cluster state (for trace validation and post-mortem inspection). The
+/// returned [`Cluster`] is the Vcl runtime, so this runs Vcl whatever
+/// [`ExperimentSpec::backend`] names; the other backends keep their state
+/// behind [`run_one`] and [`run_one_with_trace`].
 pub fn run_one_keeping_cluster(spec: &ExperimentSpec) -> (RunRecord, Cluster) {
     let (record, cluster, _) = run_one_instrumented(spec, false);
     (record, cluster)
 }
 
-/// The fully instrumented run: like [`run_one_keeping_cluster`], but with
-/// optional per-event fingerprint-journal capture (the expensive mode the
-/// determinism harness only pays for after a mismatch).
+/// The fully instrumented Vcl run: like [`run_one_keeping_cluster`], but
+/// with optional per-event fingerprint-journal capture (the expensive
+/// mode the determinism harness only pays for after a mismatch).
 pub fn run_one_instrumented(
     spec: &ExperimentSpec,
     capture_journal: bool,
 ) -> (RunRecord, Cluster, Option<Vec<JournalEntry>>) {
-    let out = run_inner(spec, capture_journal, false, false);
-    (out.record, out.cluster, out.journal)
+    let instrumentation = Instrumentation {
+        journal: capture_journal,
+        ..Instrumentation::default()
+    };
+    let run = run_world(spec, vcl_cluster(spec), instrumentation);
+    (run.record, run.cluster, run.journal)
 }
 
 /// Like [`run_one`], with the engine's wall-clock handler profiling on:
@@ -913,8 +964,12 @@ pub fn run_one_instrumented(
 /// `bench-report`; the profile is wall-clock data and must never be mixed
 /// into the deterministic [`RunRecord::metrics`] snapshot.
 pub fn run_one_profiled(spec: &ExperimentSpec) -> (RunRecord, WallProfile) {
-    let out = run_inner(spec, false, true, false);
-    (out.record, out.profile)
+    let instrumentation = Instrumentation {
+        profile: true,
+        ..Instrumentation::default()
+    };
+    let (record, profile, _) = run_spec_backend(spec, instrumentation, false);
+    (record, profile)
 }
 
 /// A run with the engine's happens-before log captured.
@@ -935,12 +990,16 @@ pub struct TracedRun {
 /// [`failmpi_mpichv::VclEvent`] records the engine event it was emitted
 /// under. The input to `failmpi-trace` exports and explanations.
 pub fn run_one_traced(spec: &ExperimentSpec) -> TracedRun {
-    let out = run_inner(spec, false, false, true);
-    let track_names = world_track_names(&out.cluster);
+    let instrumentation = Instrumentation {
+        causal: true,
+        ..Instrumentation::default()
+    };
+    let run = run_world(spec, vcl_cluster(spec), instrumentation);
+    let track_names = world_track_names(&run.cluster);
     TracedRun {
-        record: out.record,
-        cluster: out.cluster,
-        causal: out.causal,
+        record: run.record,
+        cluster: run.cluster,
+        causal: run.causal,
         track_names,
     }
 }
@@ -977,9 +1036,11 @@ fn build_fail_side(inj: &InjectionSpec, seed: u64, compute_hosts: &[HostId]) -> 
     let rt = FailRuntime::new(&scenario, deployment, &params).expect("scenario deploys");
     let mut probes = Vec::new();
     for instance in 0..rt.len() {
-        for kind_name in ["committed_wave", "epoch"] {
-            if let Some(slot) = rt.probe_slot(instance, kind_name) {
-                let kind = ProbeKind::of_name(kind_name).expect("known name");
+        for (name, kind) in [
+            ("committed_wave", ProbeKind::CommittedWave),
+            ("epoch", ProbeKind::Epoch),
+        ] {
+            if let Some(slot) = rt.probe_slot(instance, name) {
                 probes.push((instance, slot, kind, 0i64));
             }
         }
@@ -992,155 +1053,6 @@ fn build_fail_side(inj: &InjectionSpec, seed: u64, compute_hosts: &[HostId]) -> 
         host_instance,
         halts: 0,
         probes,
-    }
-}
-
-struct InnerRun {
-    record: RunRecord,
-    cluster: Cluster,
-    journal: Option<Vec<JournalEntry>>,
-    profile: WallProfile,
-    causal: CausalLog,
-}
-
-fn run_inner(spec: &ExperimentSpec, capture_journal: bool, profile: bool, causal: bool) -> InnerRun {
-    assert_eq!(
-        spec.backend,
-        BackendKind::Vcl,
-        "the instrumented run paths (keeping-cluster/journal/profile/causal) \
-         are Vcl-only; route other backends through run_one"
-    );
-    // The `--trace-out` sink claims exactly one run per invocation; the
-    // claimed run pays for causal tracing, every other run keeps the
-    // zero-overhead disabled path (see `crate::tracesink`).
-    let trace_claimed = crate::tracesink::claim();
-    let causal = causal || trace_claimed;
-    let programs = programs_for(spec);
-    let cluster = Cluster::new(spec.cluster.clone(), programs, spec.seed);
-
-    let fail = spec.injection.as_ref().map(|inj| {
-        let hosts: Vec<HostId> = (0..cluster.n_compute_hosts())
-            .map(|i| cluster.compute_host(i))
-            .collect();
-        build_fail_side(inj, spec.seed, &hosts)
-    });
-
-    let mut engine = Engine::with_tie_break(World { cluster, fail }, spec.tie_break);
-    if capture_journal {
-        engine.enable_fingerprint_journal();
-    }
-    if profile {
-        engine.enable_profiling();
-    }
-    if causal {
-        engine.enable_causal_trace();
-    }
-    // Deep profiling covers the whole schedule, including the boot
-    // events pushed below, so the context opens before the first push.
-    let deep_profile = crate::profsink::armed();
-    if deep_profile {
-        failmpi_obs::prof::start_run(spec.backend.name());
-    }
-    // Initial cluster events.
-    for (t, e) in engine.model_mut().cluster.take_outputs() {
-        engine.schedule(t, WEv::C(e));
-    }
-    // Initial FAIL actions (timer arming at t = 0).
-    if engine.model().fail.is_some() {
-        let start_actions = {
-            let fail = engine.model_mut().fail.as_mut().expect("checked");
-            fail.rt.start(&mut fail.rng)
-        };
-        for a in start_actions {
-            match a {
-                FailAction::ArmTimer {
-                    instance,
-                    timer,
-                    gen,
-                    delay,
-                } => engine.schedule(
-                    SimTime::ZERO + delay,
-                    WEv::FailTimer {
-                        instance,
-                        timer,
-                        gen,
-                    },
-                ),
-                FailAction::SendMsg { from, to, msg } => {
-                    engine.schedule(SimTime::ZERO, WEv::FailMsg { from, to, msg })
-                }
-                other => panic!("unexpected start action {other:?}"),
-            }
-        }
-    }
-
-    let engine_outcome = engine.run(spec.timeout);
-    if deep_profile {
-        if let Some(p) = failmpi_obs::prof::finish_run() {
-            crate::profsink::submit(p);
-        }
-    }
-    let end = engine.now();
-    let fingerprint = engine.fingerprint();
-    let events = engine.events_handled();
-    let queue_hwm = engine.queue_depth_hwm();
-    let wall_profile = engine.profile().clone();
-    let journal = capture_journal.then(|| engine.take_fingerprint_journal());
-    let causal_log = engine.take_causal_log();
-    let world = engine.into_model();
-    let outcome = classify(
-        &world.cluster,
-        engine_outcome,
-        end,
-        spec.timeout,
-        spec.freeze_window,
-    );
-    // Run summary counts come from the cluster's metrics registry rather
-    // than the trace, so they survive `record_trace = false`.
-    let cm = world.cluster.metrics();
-    let recoveries = cm.recoveries_started.get() as usize;
-    let waves_committed = cm.waves_committed.get() as usize;
-    let max_progress = cm.max_progress;
-    let faults_injected = world.fail.as_ref().map_or(0, |f| f.halts);
-
-    let mut metrics = MetricsSnapshot::new();
-    metrics.set_backend(spec.backend.name());
-    world.cluster.contribute_metrics(&mut metrics);
-    metrics.set_counter("sim.events_handled", events);
-    metrics.set_counter("sim.queue_depth_hwm", queue_hwm as u64);
-    metrics.set_counter("sim.end_micros", end.as_micros());
-    metrics.set_counter("harness.faults_injected", u64::from(faults_injected));
-    crate::metrics::submit(&metrics);
-
-    let record = RunRecord {
-        outcome,
-        end,
-        faults_injected,
-        recoveries,
-        waves_committed,
-        max_progress,
-        traffic: world.cluster.traffic(),
-        fingerprint,
-        events,
-        metrics,
-    };
-    if trace_claimed {
-        crate::tracesink::submit(crate::tracesink::build_trace_file(
-            &format!("seed-{}", spec.seed),
-            spec.seed,
-            &record.outcome,
-            end.as_micros(),
-            &world.cluster,
-            &causal_log,
-            &world_track_names(&world.cluster),
-        ));
-    }
-    InnerRun {
-        record,
-        cluster: world.cluster,
-        journal,
-        profile: wall_profile,
-        causal: causal_log,
     }
 }
 

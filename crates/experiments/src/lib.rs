@@ -1,9 +1,10 @@
 //! # failmpi-experiments — the paper's evaluation, regenerated
 //!
 //! This crate binds the two halves of the reproduction together — the
-//! FAIL-MPI injection middleware (`failmpi-core`) and the simulated
-//! MPICH-Vcl deployment (`failmpi-mpichv`) — and drives every experiment of
-//! the paper's Sec. 5:
+//! FAIL-MPI injection middleware (`failmpi-core`) and a simulated
+//! fault-tolerant MPI runtime (MPICH-Vcl from `failmpi-mpichv`, or the
+//! ULFM and replication backends) — and drives every experiment of the
+//! paper's Sec. 5:
 //!
 //! | id | content | module |
 //! |----|---------|--------|
@@ -17,7 +18,8 @@
 //!
 //! Each figure has a binary of the same name (`cargo run --release -p
 //! failmpi-experiments --bin fig5`) printing the series the paper plots,
-//! and a smoke-scale variant used by tests and criterion benches.
+//! and a smoke-scale variant used by tests and by `bench-report`
+//! (`failmpi-bench`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -64,7 +66,7 @@ macro_rules! install_alloc_profiler {
 pub use classify::{classify_entries, Outcome};
 pub use failmpi_backend::{BackendConfig, BackendKind, ProtocolBackend};
 pub use crosscheck::{
-    backend_crosscheck_one, backend_figure_matrix, backend_matrix, crosscheck_builtins,
+    backend_crosscheck_one, backend_matrix, crosscheck_builtins,
     crosscheck_builtins_mode, crosscheck_one, figure_matrix, render_backend_matrix,
     render_matrix, runnable_builtins, smoke_spec_for, verdicts_agree, BackendMatrixRow,
     CrosscheckRow, MatrixRow,

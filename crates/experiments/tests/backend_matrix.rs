@@ -25,8 +25,9 @@ use std::sync::OnceLock;
 
 use failmpi_analyze::StaticVerdict;
 use failmpi_experiments::{
-    backend_figure_matrix, backend_matrix, render_backend_matrix, BackendKind, BackendMatrixRow,
+    backend_matrix, figure_matrix, render_backend_matrix, BackendKind, BackendMatrixRow,
 };
+use failmpi_mpichv::DispatcherMode;
 
 const SEEDS: &[u64] = &[1, 2, 3, 4, 5, 6, 7, 8];
 
@@ -177,7 +178,12 @@ fn delay_probe_never_fires_off_vcl() {
 fn grid_scale_backend_matrix() {
     for backend in BackendKind::all() {
         let n_ranks = if backend == BackendKind::Replica { 8 } else { 25 };
-        let rows = backend_figure_matrix(backend, n_ranks, 50_000);
+        // Vcl also checks the fixed dispatcher; the differential compares
+        // the historical rows every backend shares.
+        let rows: Vec<_> = figure_matrix(backend, n_ranks, 50_000)
+            .into_iter()
+            .filter(|r| r.mode == DispatcherMode::Historical)
+            .collect();
         assert_eq!(rows.len(), 5);
         for r in &rows {
             match (backend, r.name) {
@@ -220,7 +226,7 @@ fn grid_scale_backend_matrix() {
     // Honesty pin: replication at the full 25-rank grid is *not*
     // definitive — no rank symmetry means no boot-ladder folding — and
     // the checker must say Unknown (FC006) rather than guess.
-    let replica_25 = backend_figure_matrix(BackendKind::Replica, 25, 50_000);
+    let replica_25 = figure_matrix(BackendKind::Replica, 25, 50_000);
     assert!(
         replica_25
             .iter()

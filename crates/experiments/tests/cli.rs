@@ -93,3 +93,47 @@ fn figure_binaries_reject_unknown_flags() {
         .expect("fig11 runs");
     assert!(!out.status.success());
 }
+
+#[test]
+fn trace_out_writes_a_causal_trace_on_every_backend() {
+    let dir = std::env::temp_dir().join("failmpi-cli-test");
+    std::fs::create_dir_all(&dir).expect("tmpdir");
+    for backend in ["ulfm", "replica"] {
+        let path = dir.join(format!("fig5-{backend}.trace.json"));
+        let _ = std::fs::remove_file(&path);
+        let out = Command::new(env!("CARGO_BIN_EXE_fig5"))
+            .args(["--smoke", "--runs", "1", "--threads", "1", "--backend", backend])
+            .arg("--trace-out")
+            .arg(&path)
+            .output()
+            .expect("fig5 runs");
+        assert!(out.status.success(), "{backend}: {out:?}");
+        let src = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("{backend}: trace not written: {e}"));
+        let trace = failmpi_trace::TraceFile::from_json(&src).expect("valid trace file");
+        assert_eq!(trace.tracks.last().map(String::as_str), Some("fail-mpi"), "{backend}");
+        assert!(!trace.nodes.is_empty(), "{backend}: no causal nodes");
+        assert!(!trace.marks.is_empty(), "{backend}: no lifecycle marks");
+    }
+}
+
+#[test]
+fn backend_flag_tags_every_metrics_snapshot() {
+    let dir = std::env::temp_dir().join("failmpi-cli-test");
+    std::fs::create_dir_all(&dir).expect("tmpdir");
+    let path = dir.join("fig5-ulfm.metrics.json");
+    let out = Command::new(env!("CARGO_BIN_EXE_fig5"))
+        .args(["--smoke", "--runs", "1", "--backend", "ulfm", "--metrics"])
+        .arg(&path)
+        .output()
+        .expect("fig5 runs");
+    assert!(out.status.success(), "{out:?}");
+    let data: serde_json::Value =
+        serde_json::from_str(&std::fs::read_to_string(&path).expect("metrics written"))
+            .expect("valid json");
+    let runs = data["runs"].as_array().expect("runs");
+    assert!(!runs.is_empty());
+    for run in runs {
+        assert_eq!(run["backend"].as_str(), Some("ulfm"), "{run:?}");
+    }
+}

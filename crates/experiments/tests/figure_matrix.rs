@@ -17,7 +17,7 @@
 //! and the budget-exceeded path (FC006) is the honest answer there.
 
 use failmpi_analyze::StaticVerdict;
-use failmpi_experiments::{figure_matrix, render_matrix};
+use failmpi_experiments::{figure_matrix, render_matrix, BackendKind};
 use failmpi_mpichv::DispatcherMode;
 
 fn assert_matrix_shape(rows: &[failmpi_experiments::MatrixRow], n_ranks: usize) {
@@ -65,7 +65,7 @@ fn assert_matrix_shape(rows: &[failmpi_experiments::MatrixRow], n_ranks: usize) 
 
 #[test]
 fn eight_rank_matrix_is_definitive() {
-    let rows = figure_matrix(8, 50_000);
+    let rows = figure_matrix(BackendKind::Vcl, 8, 50_000);
     assert_matrix_shape(&rows, 8);
     let table = render_matrix(&rows);
     assert!(table.contains("fig10_state_sync"));
@@ -80,7 +80,7 @@ fn eight_rank_matrix_is_definitive() {
 #[test]
 #[ignore = "25-rank grid is release-speed; run with --release -- --ignored"]
 fn twenty_five_rank_matrix_is_definitive() {
-    let rows = figure_matrix(25, 50_000);
+    let rows = figure_matrix(BackendKind::Vcl, 25, 50_000);
     assert_matrix_shape(&rows, 25);
     // Beyond the shared shape: the Fig. 10 witness grows with the grid
     // (every surviving rank re-registers during recovery), and the
