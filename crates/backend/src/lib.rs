@@ -144,7 +144,14 @@ pub trait ProtocolBackend {
     fn dispatch(&mut self, now: SimTime, ev: Self::Event);
 
     /// Drains events produced since the last call (feed to the engine).
-    fn take_outputs(&mut self) -> Vec<(SimTime, Self::Event)>;
+    ///
+    /// The drain borrows the backend's own output buffer, which keeps its
+    /// capacity for the next event, so the steady-state event path does
+    /// not allocate. Consume it before calling into the backend again;
+    /// dropping it unread discards the events. Events must come out in
+    /// the order they were produced: the engine numbers them in that
+    /// order, and the run fingerprint folds those numbers.
+    fn take_outputs(&mut self) -> std::vec::Drain<'_, (SimTime, Self::Event)>;
 
     /// Drains lifecycle/breakpoint hooks produced since the last call.
     fn take_hooks(&mut self) -> Vec<Hook>;

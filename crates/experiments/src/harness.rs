@@ -722,7 +722,8 @@ fn run_world<C: ProtocolBackend>(
         failmpi_obs::prof::start_run(backend);
     }
     // Initial cluster events.
-    for (t, e) in engine.model_mut().cluster.take_outputs() {
+    let boot: Vec<_> = engine.model_mut().cluster.take_outputs().collect();
+    for (t, e) in boot {
         engine.schedule(t, WEv::C(e));
     }
     // Initial FAIL actions (timer arming at t = 0).

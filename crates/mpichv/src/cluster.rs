@@ -8,6 +8,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
+use std::vec::Drain;
 
 use failmpi_net::{CloseReason, Gated, HostId, NetEvent, Network, ProcId};
 use failmpi_sim::{Engine, Model, RunOutcome, Scheduler, SimRng, SimTime, TraceLog};
@@ -30,6 +31,40 @@ enum Role {
     Scheduler,
     Server(usize),
     Daemon(u32),
+}
+
+/// Role of every process, indexed by [`ProcId`]. The network hands out
+/// proc ids densely and never reuses one, so a vector replaces a hash map.
+#[derive(Default)]
+struct RoleTable(Vec<Option<Role>>);
+
+impl RoleTable {
+    fn get(&self, proc: ProcId) -> Option<Role> {
+        self.0.get(proc.0 as usize).copied().flatten()
+    }
+
+    fn insert(&mut self, proc: ProcId, role: Role) {
+        let i = proc.0 as usize;
+        if i >= self.0.len() {
+            self.0.resize(i + 1, None);
+        }
+        self.0[i] = Some(role);
+    }
+
+    fn remove(&mut self, proc: ProcId) {
+        if let Some(slot) = self.0.get_mut(proc.0 as usize) {
+            *slot = None;
+        }
+    }
+}
+
+/// The incarnation `proc` of `rank`, borrowed from the vnode slots alone so
+/// it can be called alongside a [`ctx!`] borrowing the other fields.
+fn vnode_in(vnodes: &mut [Option<VNode>], rank: Rank, proc: ProcId) -> Option<&mut VNode> {
+    vnodes
+        .get_mut(rank.0 as usize)?
+        .as_mut()
+        .filter(|v| v.proc == proc)
 }
 
 /// Builds the borrow-split component context inline (a method would borrow
@@ -72,7 +107,7 @@ pub struct Cluster {
     scheduler: CkptScheduler,
     servers: Vec<CkptServer>,
     vnodes: Vec<Option<VNode>>,
-    role_of: HashMap<ProcId, Role>,
+    roles: RoleTable,
     programs: Vec<Arc<Program>>,
 }
 
@@ -98,20 +133,20 @@ impl Cluster {
             compute_hosts: compute_hosts.clone(),
         };
 
-        let mut role_of = HashMap::new();
+        let mut roles = RoleTable::default();
         let dispatcher_proc = net.spawn_process(dispatcher_host);
         net.listen(dispatcher_proc, ports::DISPATCHER);
-        role_of.insert(dispatcher_proc, Role::Dispatcher);
+        roles.insert(dispatcher_proc, Role::Dispatcher);
 
         let scheduler_proc = net.spawn_process(scheduler_host);
         net.listen(scheduler_proc, ports::SCHEDULER);
-        role_of.insert(scheduler_proc, Role::Scheduler);
+        roles.insert(scheduler_proc, Role::Scheduler);
 
         let mut servers = Vec::new();
         for (i, &h) in server_hosts.iter().enumerate() {
             let p = net.spawn_process(h);
             net.listen(p, ports::server(i));
-            role_of.insert(p, Role::Server(i));
+            roles.insert(p, Role::Server(i));
             servers.push(CkptServer::new(p, i));
         }
 
@@ -147,7 +182,7 @@ impl Cluster {
             scheduler,
             servers,
             vnodes: (0..n).map(|_| None).collect(),
-            role_of,
+            roles,
             programs,
         };
         let now = SimTime::ZERO;
@@ -185,16 +220,15 @@ impl Cluster {
             },
             Ev::ComputeDone { rank, proc, gen } => {
                 if self.net.is_suspended(proc) {
-                    if let Some(v) = self.vnode_mut(rank, proc) {
+                    if let Some(v) = vnode_in(&mut self.vnodes, rank, proc) {
                         v.on_compute_done_suspended(gen);
                     }
                     return;
                 }
-                let Some(mut v) = self.take_vnode(rank, proc) else {
+                let Some(v) = vnode_in(&mut self.vnodes, rank, proc) else {
                     return;
                 };
                 v.on_compute_done(gen, &mut ctx!(self, now));
-                self.put_vnode(rank, v);
             }
             Ev::SchedTick => {
                 self.scheduler.on_tick(&mut ctx!(self, now));
@@ -210,17 +244,13 @@ impl Cluster {
                     ));
                     return;
                 }
-                let Some(mut v) = self.take_vnode(rank, proc) else {
+                let Some(v) = vnode_in(&mut self.vnodes, rank, proc) else {
                     return;
                 };
                 v.connect_services(&mut ctx!(self, now));
-                self.put_vnode(rank, v);
             }
             Ev::ServerWriteDone { server, conn, rank, wave } => {
-                let proc = self.servers[server].proc;
-                let mut srv = std::mem::replace(&mut self.servers[server], CkptServer::new(proc, server));
-                srv.on_write_done(conn, rank, wave, &mut ctx!(self, now));
-                self.servers[server] = srv;
+                self.servers[server].on_write_done(conn, rank, wave, &mut ctx!(self, now));
             }
             Ev::RestoreDone { rank, proc } => {
                 if self.net.is_suspended(proc) {
@@ -230,11 +260,10 @@ impl Cluster {
                     ));
                     return;
                 }
-                let Some(mut v) = self.take_vnode(rank, proc) else {
+                let Some(v) = vnode_in(&mut self.vnodes, rank, proc) else {
                     return;
                 };
                 v.on_restore_done(&mut ctx!(self, now));
-                self.put_vnode(rank, v);
             }
             Ev::SelfCkpt { rank, proc } => {
                 if self.net.is_suspended(proc) {
@@ -244,14 +273,13 @@ impl Cluster {
                     ));
                     return;
                 }
-                let Some(mut v) = self.take_vnode(rank, proc) else {
+                let Some(v) = vnode_in(&mut self.vnodes, rank, proc) else {
                     return;
                 };
                 v.on_self_ckpt(&mut ctx!(self, now));
-                self.put_vnode(rank, v);
             }
             Ev::DaemonExit { rank, proc, normal } => {
-                if self.vnode_mut(rank, proc).is_some() {
+                if vnode_in(&mut self.vnodes, rank, proc).is_some() {
                     self.exit_process(now, proc, normal);
                 }
             }
@@ -264,11 +292,10 @@ impl Cluster {
                     ));
                     return;
                 }
-                let Some(mut v) = self.take_vnode(rank, proc) else {
+                let Some(v) = vnode_in(&mut self.vnodes, rank, proc) else {
                     return;
                 };
                 v.on_disk_loaded(&mut ctx!(self, now));
-                self.put_vnode(rank, v);
             }
             Ev::LaunchFailed { rank, epoch } => {
                 self.dispatcher
@@ -282,22 +309,22 @@ impl Cluster {
                     ));
                     return;
                 }
-                let Some(mut v) = self.take_vnode(rank, proc) else {
+                let Some(v) = vnode_in(&mut self.vnodes, rank, proc) else {
                     return;
                 };
                 v.retry_peer_connect(peer, &mut ctx!(self, now));
-                self.put_vnode(rank, v);
             }
         }
     }
 
     fn route_net(&mut self, now: SimTime, nev: NetEvent<crate::wire::Wire>) {
         let recipient = nev.recipient();
-        let Some(&role) = self.role_of.get(&recipient) else {
+        let Some(role) = self.roles.get(recipient) else {
             return; // stale event for a dead incarnation
         };
-        // Payload-copy ledger + role span: a delivered wire message is
-        // handed (by value) to the recipient's handler here.
+        // Payload ledger + role span: a delivered wire message moves into
+        // the recipient's handler here. Nothing is copied; the ledger
+        // counts the message's modelled wire bytes.
         if failmpi_obs::prof::is_enabled() {
             if let NetEvent::Delivered { payload, .. } = &nev {
                 failmpi_obs::prof::copy("mpichv.dispatch", payload.wire_bytes());
@@ -333,17 +360,12 @@ impl Cluster {
             },
             Role::Server(i) => {
                 if let NetEvent::Delivered { conn, payload, .. } = nev {
-                    let mut server = std::mem::replace(
-                        &mut self.servers[i],
-                        CkptServer::new(recipient, i),
-                    );
-                    server.on_msg(conn, payload, &mut ctx!(self, now));
-                    self.servers[i] = server;
+                    self.servers[i].on_msg(conn, payload, &mut ctx!(self, now));
                 }
             }
             Role::Daemon(r) => {
                 let rank = Rank(r);
-                let Some(mut v) = self.take_vnode(rank, recipient) else {
+                let Some(v) = vnode_in(&mut self.vnodes, rank, recipient) else {
                     return;
                 };
                 match nev {
@@ -354,7 +376,7 @@ impl Cluster {
                         // Mesh accept: the identity exchange is resolved via
                         // the role table (the real daemons exchange a hello).
                         if port == ports::daemon(rank) {
-                            if let Some(&Role::Daemon(pr)) = self.role_of.get(&peer) {
+                            if let Some(Role::Daemon(pr)) = self.roles.get(peer) {
                                 v.on_peer_accepted(conn, Rank(pr), &mut ctx!(self, now));
                             }
                         }
@@ -367,31 +389,8 @@ impl Cluster {
                         v.on_connect_failed(token, &mut ctx!(self, now));
                     }
                 }
-                self.put_vnode(rank, v);
             }
         }
-    }
-
-    /// Temporarily removes the vnode for `(rank, proc)` so it can be called
-    /// with a context borrowing the rest of the cluster.
-    fn take_vnode(&mut self, rank: Rank, proc: ProcId) -> Option<VNode> {
-        let slot = self.vnodes.get_mut(rank.0 as usize)?;
-        if slot.as_ref().is_some_and(|v| v.proc == proc) {
-            slot.take()
-        } else {
-            None
-        }
-    }
-
-    fn put_vnode(&mut self, rank: Rank, v: VNode) {
-        self.vnodes[rank.0 as usize] = Some(v);
-    }
-
-    fn vnode_mut(&mut self, rank: Rank, proc: ProcId) -> Option<&mut VNode> {
-        self.vnodes
-            .get_mut(rank.0 as usize)?
-            .as_mut()
-            .filter(|v| v.proc == proc)
     }
 
     fn spawn_daemon(&mut self, now: SimTime, rank: Rank, host: HostId, epoch: u32) {
@@ -408,21 +407,21 @@ impl Cluster {
             if self.net.is_alive(old.proc) {
                 let (p, h) = (old.proc, old.host);
                 self.net.kill(now, p);
-                self.role_of.remove(&p);
+                self.roles.remove(p);
                 self.breakpoints.remove(&p);
                 self.hooks.push(Hook::OnError { host: h, proc: p });
             }
         }
         let proc = self.net.spawn_process(host);
-        self.role_of.insert(proc, Role::Daemon(rank.0));
-        let mut v = VNode::new(
+        self.roles.insert(proc, Role::Daemon(rank.0));
+        let v = self.vnodes[rank.0 as usize].insert(VNode::new(
             rank,
             proc,
             host,
             epoch,
             Arc::clone(&self.programs[rank.0 as usize]),
             self.cfg.n_ranks,
-        );
+        ));
         let spawned = VclEvent::DaemonSpawned { rank, epoch, host };
         self.metrics.observe(now, &spawned);
         self.tracelog.record(now, spawned);
@@ -434,7 +433,6 @@ impl Cluster {
             self.rng.below(self.cfg.init_delay_max.as_micros().max(1)),
         );
         self.out.push((now + init, Ev::BootConnect { rank, proc }));
-        self.put_vnode(rank, v);
     }
 
     fn flush(&mut self, now: SimTime) {
@@ -465,9 +463,8 @@ impl Cluster {
                 }
             }
         }
-        for (t, ev) in self.net.take_events() {
-            self.out.push((t, Ev::Net(ev)));
-        }
+        self.out
+            .extend(self.net.take_events().map(|(t, ev)| (t, Ev::Net(ev))));
     }
 
     /// Common death path for daemons (ordered exits and injected kills).
@@ -475,13 +472,12 @@ impl Cluster {
         if !self.net.is_alive(proc) {
             return;
         }
-        let Some(&Role::Daemon(r)) = self.role_of.get(&proc) else {
+        let Some(Role::Daemon(r)) = self.roles.get(proc) else {
             return;
         };
         let rank = Rank(r);
         let host = self.net.host_of(proc);
-        let epoch = self
-            .vnode_mut(rank, proc)
+        let epoch = vnode_in(&mut self.vnodes, rank, proc)
             .map(|v| {
                 v.phase = Phase::Dead;
                 v.epoch
@@ -492,7 +488,7 @@ impl Cluster {
         let registered = self.dispatcher.is_registered(rank);
         self.metrics.note_daemon_death(now, rank.0);
         self.net.kill(now, proc);
-        self.role_of.remove(&proc);
+        self.roles.remove(proc);
         self.breakpoints.remove(&proc);
         if !registered {
             self.out.push((
@@ -534,9 +530,8 @@ impl Cluster {
         for ev in self.net.resume(proc) {
             self.out.push((now, Ev::Net(ev)));
         }
-        if let Some(&Role::Daemon(r)) = self.role_of.get(&proc) {
-            let rank = Rank(r);
-            if let Some(mut v) = self.take_vnode(rank, proc) {
+        if let Some(Role::Daemon(r)) = self.roles.get(proc) {
+            if let Some(v) = vnode_in(&mut self.vnodes, Rank(r), proc) {
                 if v.held_at_set_command {
                     v.do_set_command(&mut ctx!(self, now));
                 }
@@ -544,7 +539,6 @@ impl Cluster {
                     v.pending_wake = false;
                     v.pump(&mut ctx!(self, now));
                 }
-                self.put_vnode(rank, v);
             }
         }
         self.flush(now);
@@ -565,8 +559,9 @@ impl Cluster {
     // ------------------------------------------------------------------
 
     /// Drains the events produced since the last call (feed to the engine).
-    pub fn take_outputs(&mut self) -> Vec<(SimTime, Ev)> {
-        std::mem::take(&mut self.out)
+    /// The buffer keeps its capacity for the next event.
+    pub fn take_outputs(&mut self) -> Drain<'_, (SimTime, Ev)> {
+        self.out.drain(..)
     }
 
     /// Drains the lifecycle/breakpoint hooks produced since the last call.
@@ -617,11 +612,11 @@ impl Cluster {
     }
 
     fn track_of_proc(&self, proc: ProcId) -> u32 {
-        match self.role_of.get(&proc) {
+        match self.roles.get(proc) {
             Some(Role::Dispatcher) => 0,
             Some(Role::Scheduler) => 1,
-            Some(Role::Server(i)) => 2 + *i as u32,
-            Some(Role::Daemon(r)) => self.rank_track(*r),
+            Some(Role::Server(i)) => 2 + i as u32,
+            Some(Role::Daemon(r)) => self.rank_track(r),
             // Retired incarnations (late events to dead processes).
             None => self.rank_track(self.cfg.n_ranks),
         }
@@ -795,7 +790,7 @@ impl failmpi_backend::ProtocolBackend for Cluster {
         Cluster::dispatch(self, now, ev);
     }
 
-    fn take_outputs(&mut self) -> Vec<(SimTime, Ev)> {
+    fn take_outputs(&mut self) -> Drain<'_, (SimTime, Ev)> {
         Cluster::take_outputs(self)
     }
 
@@ -928,7 +923,7 @@ pub fn run_standalone(
     deadline: SimTime,
 ) -> (RunOutcome, SimTime, Cluster) {
     let mut cluster = Cluster::new(cfg, programs, seed);
-    let initial = cluster.take_outputs();
+    let initial: Vec<_> = cluster.take_outputs().collect();
     let mut engine = Engine::new(ClusterModel { cluster });
     for (t, e) in initial {
         engine.schedule(t, e);

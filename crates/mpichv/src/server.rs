@@ -279,7 +279,7 @@ mod tests {
         w.net.take_events();
         srv.on_msg(conn, Wire::FetchImage { rank: Rank(0) }, &mut w.ctx(t(3)));
         // The reply rides the network; it must carry the logged bytes.
-        let sent = w.net.take_events();
+        let sent: Vec<_> = w.net.take_events().collect();
         assert_eq!(sent.len(), 1);
         match &sent[0].1 {
             failmpi_net::NetEvent::Delivered { payload: Wire::Image { wave, logged, .. }, .. } => {
@@ -304,7 +304,6 @@ mod tests {
         let replies: Vec<Option<u32>> = w
             .net
             .take_events()
-            .into_iter()
             .filter_map(|(_, ev)| match ev {
                 failmpi_net::NetEvent::Delivered { payload: Wire::Latest { wave }, .. } => {
                     Some(wave)

@@ -69,7 +69,6 @@ impl TestWorld {
         let conn = self
             .net
             .take_events()
-            .into_iter()
             .find_map(|(_, e)| match e {
                 failmpi_net::NetEvent::Accepted { conn, .. } => Some(conn),
                 _ => None,

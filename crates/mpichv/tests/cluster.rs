@@ -95,7 +95,7 @@ fn run_scripted<F: FnMut(&mut Cluster, SimTime, Signal, &mut State)>(
     script: F,
 ) -> (RunOutcome, SimTime, Cluster) {
     let mut cluster = Cluster::new(cfg, programs, seed);
-    let initial = cluster.take_outputs();
+    let initial: Vec<_> = cluster.take_outputs().collect();
     let mut engine = Engine::new(TestWorld {
         cluster,
         script,

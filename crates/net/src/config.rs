@@ -45,9 +45,9 @@ impl NetConfig {
     /// Time a `bytes`-sized message occupies one NIC.
     pub fn wire_time(&self, bytes: u64) -> SimDuration {
         debug_assert!(self.bandwidth_bytes_per_sec > 0);
-        // Ceil division in microseconds: bytes * 1e6 / bw.
-        let us = (bytes as u128 * 1_000_000).div_ceil(self.bandwidth_bytes_per_sec as u128);
-        SimDuration::from_micros(us.min(u64::MAX as u128) as u64)
+        let bw = self.bandwidth_bytes_per_sec;
+        let us = wire_micros_u64(bytes, bw).unwrap_or_else(|| wire_micros_u128(bytes, bw));
+        SimDuration::from_micros(us)
     }
 
     /// Worst-case failure-detection delay through keep-alive alone.
@@ -56,9 +56,50 @@ impl NetConfig {
     }
 }
 
+/// Ceil division in microseconds, `bytes * 1e6 / bw`, in native `u64`
+/// arithmetic; `None` when `bytes * 1e6` does not fit (any real message
+/// fits: the bound is about 18 TB).
+fn wire_micros_u64(bytes: u64, bw: u64) -> Option<u64> {
+    Some(bytes.checked_mul(1_000_000)?.div_ceil(bw))
+}
+
+/// The same ceil division widened to `u128`, saturating at `u64::MAX`.
+fn wire_micros_u128(bytes: u64, bw: u64) -> u64 {
+    let us = (bytes as u128 * 1_000_000).div_ceil(bw as u128);
+    us.min(u64::MAX as u128) as u64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn wire_time_fast_path_matches_wide_form() {
+        let edge = u64::MAX / 1_000_000;
+        for bw in [1, 3, 125_000_000, 1_000_000_007, u64::MAX] {
+            let mut sizes = vec![0, 1, bw, edge, edge + 1, u64::MAX];
+            // A spread of message sizes: powers of two and their neighbours.
+            for shift in 0..64 {
+                let p = 1u64 << shift;
+                sizes.extend([p - 1, p, p.saturating_add(1)]);
+            }
+            for bytes in sizes {
+                let wide = wire_micros_u128(bytes, bw);
+                if let Some(narrow) = wire_micros_u64(bytes, bw) {
+                    assert_eq!(narrow, wide, "{bytes} B at {bw} B/s");
+                } else {
+                    assert!(bytes > edge, "{bytes} B fits but took the wide path");
+                }
+                let cfg = NetConfig {
+                    bandwidth_bytes_per_sec: bw,
+                    ..NetConfig::default()
+                };
+                assert_eq!(cfg.wire_time(bytes), SimDuration::from_micros(wide));
+            }
+            assert!(wire_micros_u64(edge, bw).is_some());
+            assert!(wire_micros_u64(edge + 1, bw).is_none());
+        }
+    }
 
     #[test]
     fn wire_time_scales_with_size() {

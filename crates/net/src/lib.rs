@@ -5,7 +5,8 @@
 //! between processes (listen / connect / accept / send / close). The model is
 //! a *pure state machine*: every mutating method records output events into an
 //! internal buffer which the embedding world drains into its discrete-event
-//! scheduler ([`Network::take_events`]).
+//! scheduler ([`Network::take_events`], which lends out the buffer as a
+//! [`std::vec::Drain`] rather than giving it away).
 //!
 //! ## Fidelity choices
 //!
@@ -36,10 +37,18 @@
 //! let client = net.spawn_process(hosts[1]);
 //! net.listen(server, Port(80));
 //! net.connect(SimTime::ZERO, client, hosts[0], Port(80), 42);
-//! // The embedding world schedules these events and routes them back.
-//! let events = net.take_events();
-//! assert!(matches!(events[0].1, NetEvent::Accepted { .. }));
-//! assert!(matches!(events[1].1, NetEvent::ConnEstablished { token: 42, .. }));
+//! // The embedding world drains these events into its scheduler and
+//! // routes each one back through `gate` at its delivery instant. The
+//! // drain borrows the network's own buffer, which keeps its capacity,
+//! // so consume it before the next call into the network.
+//! let mut events = net.take_events();
+//! assert!(matches!(events.next(), Some((_, NetEvent::Accepted { .. }))));
+//! assert!(matches!(
+//!     events.next(),
+//!     Some((_, NetEvent::ConnEstablished { token: 42, .. }))
+//! ));
+//! drop(events);
+//! assert_eq!(net.take_events().len(), 0, "drained");
 //! ```
 
 #![forbid(unsafe_code)]

@@ -2,6 +2,7 @@
 
 use std::collections::BTreeMap;
 use std::mem;
+use std::vec::Drain;
 
 use failmpi_sim::SimTime;
 
@@ -20,6 +21,9 @@ struct ProcState<P> {
     suspended: bool,
     /// Events that arrived while the process was suspended (socket buffers).
     buffer: Vec<NetEvent<P>>,
+    /// Every stream this process is an endpoint of, in creation (ascending
+    /// id) order, so a kill visits only its own streams.
+    conns: Vec<ConnId>,
 }
 
 struct ConnState {
@@ -110,6 +114,7 @@ impl<P> Network<P> {
             alive: true,
             suspended: false,
             buffer: Vec::new(),
+            conns: Vec::new(),
         });
         id
     }
@@ -205,6 +210,10 @@ impl<P> Network<P> {
                     b: acceptor,
                     open: true,
                 });
+                self.procs[proc.0 as usize].conns.push(conn);
+                if acceptor != proc {
+                    self.procs[acceptor.0 as usize].conns.push(conn);
+                }
                 self.out.push((
                     now + one,
                     NetEvent::Accepted {
@@ -254,9 +263,9 @@ impl<P> Network<P> {
         }
         self.stats.msgs_sent.inc();
         self.stats.bytes_sent.add(bytes);
-        // Payload-copy ledger: the payload is cloned into the in-flight
-        // Delivered event here — the first hop of the copy chain the
-        // zero-copy refactor targets.
+        // Payload ledger: the payload moves into the in-flight Delivered
+        // event here (nothing is copied); the ledger counts the modelled
+        // wire bytes of this first hop.
         failmpi_obs::prof::copy("net.enqueue", bytes);
         let src_host = self.host_of(from);
         let dst_host = self.host_of(to);
@@ -325,18 +334,20 @@ impl<P> Network<P> {
         state.suspended = false;
         state.buffer.clear();
         let host = state.host;
+        // A dead process never connects again, so its index is spent.
+        let own = mem::take(&mut state.conns);
         self.stats.kills.inc();
         self.listeners.retain(|_, owner| *owner != proc);
-        let mut closes = Vec::new();
-        for (i, c) in self.conns.iter_mut().enumerate() {
-            if c.open && (c.a == proc || c.b == proc) {
-                c.open = false;
-                let peer = if c.a == proc { c.b } else { c.a };
-                closes.push((ConnId(i as u64), peer));
+        // Ascending ids, so the Closed events (and their queue seqs) come
+        // out in the same order as a scan over every connection would.
+        for conn in own {
+            let c = &mut self.conns[conn.0 as usize];
+            if !c.open {
+                continue;
             }
-        }
-        self.stats.conns_reset.add(closes.len() as u64);
-        for (conn, peer) in closes {
+            c.open = false;
+            self.stats.conns_reset.inc();
+            let peer = if c.a == proc { c.b } else { c.a };
             if self.is_alive(peer) {
                 let one = self.one_way(self.host_of(peer) == host);
                 self.out.push((
@@ -395,9 +406,11 @@ impl<P> Network<P> {
         }
     }
 
-    /// Takes all freshly produced `(time, event)` pairs for scheduling.
-    pub fn take_events(&mut self) -> Vec<(SimTime, NetEvent<P>)> {
-        mem::take(&mut self.out)
+    /// Drains all freshly produced `(time, event)` pairs for scheduling.
+    /// The buffer keeps its capacity for the next call; dropping the drain
+    /// unread discards the events.
+    pub fn take_events(&mut self) -> Drain<'_, (SimTime, NetEvent<P>)> {
+        self.out.drain(..)
     }
 
     /// Number of produced-but-not-yet-taken events (diagnostic).
@@ -430,7 +443,7 @@ mod tests {
         let (mut net, a, b) = two_proc_net();
         assert!(net.listen(b, Port(80)));
         net.connect(t(0), a, net.host_of(b), Port(80), 7);
-        let evs = net.take_events();
+        let evs: Vec<_> = net.take_events().collect();
         let conn = match &evs[0].1 {
             NetEvent::Accepted { conn, .. } => *conn,
             other => panic!("expected Accepted, got {other:?}"),
@@ -447,7 +460,7 @@ mod tests {
         let (mut net, a, b) = two_proc_net();
         assert!(net.listen(b, Port(80)));
         net.connect(t(1), a, net.host_of(b), Port(80), 42);
-        let evs = net.take_events();
+        let evs: Vec<_> = net.take_events().collect();
         assert_eq!(evs.len(), 2);
         let lat = NetConfig::default().latency;
         assert_eq!(evs[0].0, t(1) + lat);
@@ -460,7 +473,7 @@ mod tests {
     fn connect_without_listener_fails() {
         let (mut net, a, b) = two_proc_net();
         net.connect(t(0), a, net.host_of(b), Port(81), 9);
-        let evs = net.take_events();
+        let evs: Vec<_> = net.take_events().collect();
         assert_eq!(evs.len(), 1);
         assert!(matches!(
             evs[0].1,
@@ -475,7 +488,7 @@ mod tests {
         net.kill(t(0), b);
         net.take_events();
         net.connect(t(1), a, net.host_of(b), Port(80), 1);
-        let evs = net.take_events();
+        let evs: Vec<_> = net.take_events().collect();
         assert!(matches!(evs[0].1, NetEvent::ConnectFailed { .. }));
     }
 
@@ -492,7 +505,7 @@ mod tests {
         // 125 MB at 125 MB/s streams through in 1 s + 100 µs switch latency
         // (cut-through: the receiver drains while the sender still pushes).
         assert!(net.send(t(10), conn, a, "data", 125_000_000));
-        let evs = net.take_events();
+        let evs: Vec<_> = net.take_events().collect();
         assert_eq!(evs.len(), 1);
         let expect = t(10) + NetConfig::default().latency + SimDuration::from_secs(1);
         assert_eq!(evs[0].0, expect);
@@ -504,7 +517,7 @@ mod tests {
         let (mut net, a, _b, conn) = connected();
         assert!(net.send(t(0), conn, a, "m1", 125_000_000));
         assert!(net.send(t(0), conn, a, "m2", 125_000_000));
-        let evs = net.take_events();
+        let evs: Vec<_> = net.take_events().collect();
         // Second message starts tx only after the first finished.
         assert!(evs[1].0 >= evs[0].0 + SimDuration::from_secs(1));
     }
@@ -519,7 +532,7 @@ mod tests {
         net.listen(server, Port(9));
         net.connect(t(0), c1, hs[0], Port(9), 0);
         net.connect(t(0), c2, hs[0], Port(9), 0);
-        let evs = net.take_events();
+        let evs: Vec<_> = net.take_events().collect();
         let conns: Vec<ConnId> = evs
             .iter()
             .filter_map(|(_, e)| match e {
@@ -532,7 +545,7 @@ mod tests {
         // serialise them, so the second delivery lands ≥ 1 s after the first.
         assert!(net.send(t(10), conns[0], c1, "x", 125_000_000));
         assert!(net.send(t(10), conns[1], c2, "y", 125_000_000));
-        let evs = net.take_events();
+        let evs: Vec<_> = net.take_events().collect();
         let mut times: Vec<SimTime> = evs.iter().map(|&(at, _)| at).collect();
         times.sort();
         assert!(times[1] >= times[0] + SimDuration::from_secs(1));
@@ -546,13 +559,13 @@ mod tests {
         let b = net.spawn_process(h);
         net.listen(b, Port(1));
         net.connect(t(0), a, h, Port(1), 0);
-        let evs = net.take_events();
+        let evs: Vec<_> = net.take_events().collect();
         let conn = match evs[0].1 {
             NetEvent::Accepted { conn, .. } => conn,
             _ => panic!(),
         };
         net.send(t(1), conn, a, "big", 1_000_000_000);
-        let evs = net.take_events();
+        let evs: Vec<_> = net.take_events().collect();
         assert_eq!(evs[0].0, t(1) + NetConfig::default().local_latency);
     }
 
@@ -560,7 +573,7 @@ mod tests {
     fn kill_resets_peer_connections() {
         let (mut net, a, b, conn) = connected();
         net.kill(t(5), b);
-        let evs = net.take_events();
+        let evs: Vec<_> = net.take_events().collect();
         assert_eq!(evs.len(), 1);
         assert_eq!(
             evs[0].1,
@@ -577,13 +590,118 @@ mod tests {
         assert!(!net.send(t(6), conn, a, "late", 10));
     }
 
+    /// Four processes on three hosts with interleaved connects, a stream
+    /// closed gracefully before the kill, and a self-connection. Returns
+    /// the network, the processes and the streams in creation order.
+    fn mesh_with_history() -> (Net, Vec<ProcId>, Vec<ConnId>) {
+        let mut net: Net = Network::new(NetConfig::default());
+        let h = net.add_hosts(3);
+        let p: Vec<ProcId> = [h[0], h[1], h[2], h[0]]
+            .iter()
+            .map(|&host| net.spawn_process(host))
+            .collect();
+        for (i, &q) in p.iter().enumerate() {
+            assert!(net.listen(q, Port(100 + i as u16)));
+        }
+        // (initiator, acceptor) pairs, interleaved across processes.
+        let pairs = [(0, 1), (1, 2), (2, 0), (0, 0), (1, 0), (3, 0), (0, 2), (2, 3)];
+        let mut conns = Vec::new();
+        for (k, &(from, to)) in pairs.iter().enumerate() {
+            let port = Port(100 + to as u16);
+            net.connect(t(0), p[from], net.host_of(p[to]), port, k as u64);
+            let accepted = net.take_events().find_map(|(_, ev)| match ev {
+                NetEvent::Accepted { conn, .. } => Some(conn),
+                _ => None,
+            });
+            conns.push(accepted.expect("listener is alive"));
+        }
+        // p1 hangs up on p0 gracefully before anything dies.
+        net.close(t(1), conns[4], p[1]);
+        net.take_events();
+        (net, p, conns)
+    }
+
+    /// The closures a kill of `proc` must produce: one per stream still
+    /// open whose other end is alive, by a scan over every stream ever
+    /// opened (what a per-process index must reproduce).
+    fn expected_closures(net: &Net, proc: ProcId, n_conns: usize) -> Vec<(ConnId, ProcId)> {
+        (0..n_conns as u64)
+            .map(ConnId)
+            .filter(|&c| net.conn_open(c))
+            .filter_map(|c| net.peer_of(c, proc).map(|peer| (c, peer)))
+            .filter(|&(_, peer)| peer != proc && net.is_alive(peer))
+            .collect()
+    }
+
+    fn closures(net: &mut Net) -> Vec<(SimTime, ConnId, ProcId)> {
+        net.take_events()
+            .map(|(at, ev)| match ev {
+                NetEvent::Closed {
+                    conn,
+                    proc,
+                    reason: CloseReason::PeerDied,
+                } => (at, conn, proc),
+                other => panic!("kill produced {other:?}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn kill_closes_each_open_stream_once_in_conn_order() {
+        let (mut net, p, conns) = mesh_with_history();
+        let expect = expected_closures(&net, p[0], conns.len());
+        // p0 holds c0, c2, c3 (self), c4 (already closed), c5 and c6.
+        let expect_ids: Vec<ConnId> = expect.iter().map(|&(c, _)| c).collect();
+        assert_eq!(expect_ids, vec![conns[0], conns[2], conns[5], conns[6]]);
+        net.kill(t(5), p[0]);
+        let got = closures(&mut net);
+        let got_pairs: Vec<(ConnId, ProcId)> = got.iter().map(|&(_, c, q)| (c, q)).collect();
+        assert_eq!(got_pairs, expect);
+        let lat = NetConfig::default().latency;
+        let local = NetConfig::default().local_latency;
+        for &(at, _, peer) in &got {
+            let one = if net.host_of(peer) == net.host_of(p[0]) { local } else { lat };
+            assert_eq!(at, t(5) + one);
+        }
+        // Every stream p0 held is now closed, the self-connection included;
+        // the graceful close is not counted again.
+        for c in [0, 2, 3, 4, 5, 6] {
+            assert!(!net.conn_open(conns[c]), "c{c} still open");
+        }
+        assert_eq!(net.stats().conns_reset.get(), 5);
+        // Streams between survivors are untouched.
+        assert!(net.conn_open(conns[1]));
+        assert!(net.conn_open(conns[7]));
+        assert!(net.send(t(6), conns[1], p[1], "still up", 10));
+        // A second kill of the same process emits nothing.
+        net.take_events();
+        net.kill(t(7), p[0]);
+        assert_eq!(net.take_events().len(), 0);
+    }
+
+    #[test]
+    fn later_kill_skips_streams_an_earlier_kill_closed() {
+        let (mut net, p, conns) = mesh_with_history();
+        net.kill(t(5), p[0]);
+        net.take_events();
+        // p2 holds c1 (open, to p1), c2 and c6 (reset by p0's death) and
+        // c7 (open, to p3).
+        let expect = expected_closures(&net, p[2], conns.len());
+        assert_eq!(expect, vec![(conns[1], p[1]), (conns[7], p[3])]);
+        net.kill(t(8), p[2]);
+        let got: Vec<(ConnId, ProcId)> =
+            closures(&mut net).into_iter().map(|(_, c, q)| (c, q)).collect();
+        assert_eq!(got, expect);
+        assert_eq!(net.stats().conns_reset.get(), 5 + 2);
+    }
+
     #[test]
     fn kill_is_idempotent_and_unbinds_listeners() {
         let (mut net, a, b) = two_proc_net();
         net.listen(b, Port(80));
         net.kill(t(0), b);
         net.kill(t(1), b);
-        assert!(net.take_events().is_empty());
+        assert_eq!(net.take_events().len(), 0);
         // Port is free again for another process on that host.
         let b2 = net.spawn_process(net.host_of(b));
         assert!(net.listen(b2, Port(80)));
@@ -595,7 +713,7 @@ mod tests {
         let (mut net, a, b, conn) = connected();
         net.close(t(3), conn, a);
         net.close(t(4), conn, a);
-        let evs = net.take_events();
+        let evs: Vec<_> = net.take_events().collect();
         assert_eq!(evs.len(), 1);
         assert_eq!(
             evs[0].1,
@@ -613,7 +731,7 @@ mod tests {
         net.suspend(b);
         assert!(net.is_suspended(b));
         net.send(t(1), conn, a, "queued", 10);
-        let evs = net.take_events();
+        let evs: Vec<_> = net.take_events().collect();
         assert_eq!(evs.len(), 1);
         // World routes the delivery through gate at its arrival instant.
         match net.gate(evs.into_iter().next().unwrap().1) {
@@ -630,7 +748,7 @@ mod tests {
     fn gate_drops_for_dead_recipient() {
         let (mut net, a, b, conn) = connected();
         net.send(t(1), conn, a, "inflight", 10);
-        let evs = net.take_events();
+        let evs: Vec<_> = net.take_events().collect();
         net.kill(t(1), b);
         net.take_events();
         match net.gate(evs.into_iter().next().unwrap().1) {
@@ -644,7 +762,8 @@ mod tests {
         let (mut net, a, b, conn) = connected();
         net.suspend(b);
         net.send(t(1), conn, a, "lost", 10);
-        for (_, ev) in net.take_events() {
+        let evs: Vec<_> = net.take_events().collect();
+        for (_, ev) in evs {
             let _ = net.gate(ev);
         }
         net.kill(t(2), b);
@@ -675,7 +794,7 @@ mod tests {
         net.connect(t(0), a, h[1], Port(80), 0);
         net.take_events();
         net.kill(t(100), b);
-        let evs = net.take_events();
+        let evs: Vec<_> = net.take_events().collect();
         assert_eq!(evs.len(), 1);
         // 9 × 75 s of keep-alive probes before anyone notices.
         assert_eq!(
@@ -691,7 +810,8 @@ mod tests {
         assert!(net.send(t(1), conn, a, "m", 100));
         assert_eq!(net.stats().msgs_sent.get(), 1);
         assert_eq!(net.stats().bytes_sent.get(), 100);
-        for (_, ev) in net.take_events() {
+        let evs: Vec<_> = net.take_events().collect();
+        for (_, ev) in evs {
             let _ = net.gate(ev);
         }
         assert_eq!(net.stats().deliveries.get(), 1);

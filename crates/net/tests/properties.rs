@@ -14,7 +14,6 @@ fn connected_pair() -> (Network<u32>, ProcId, ProcId, ConnId) {
     net.connect(SimTime::ZERO, a, hs[1], Port(1), 0);
     let conn = net
         .take_events()
-        .into_iter()
         .find_map(|(_, e)| match e {
             NetEvent::Accepted { conn, .. } => Some(conn),
             _ => None,
@@ -34,7 +33,7 @@ proptest! {
             now += failmpi_sim::SimDuration::from_micros(gap_us);
             prop_assert!(net.send(now, conn, a, i as u32, bytes));
         }
-        let evs = net.take_events();
+        let evs: Vec<_> = net.take_events().collect();
         prop_assert_eq!(evs.len(), msgs.len());
         let mut last = SimTime::ZERO;
         for (i, (at, ev)) in evs.into_iter().enumerate() {
@@ -54,7 +53,8 @@ proptest! {
         let time_for = |bytes: u64| {
             let (mut net, a, _b, conn) = connected_pair();
             net.send(SimTime::from_secs(1), conn, a, 0, bytes);
-            net.take_events()[0].0
+            let at = net.take_events().next().expect("one delivery").0;
+            at
         };
         prop_assert!(time_for(small) <= time_for(large));
     }
@@ -70,7 +70,7 @@ proptest! {
         for i in 0..n_msgs {
             net.send(SimTime::from_secs(1), conn, a, i as u32, 1_000);
         }
-        let evs = net.take_events();
+        let evs: Vec<_> = net.take_events().collect();
         let mut delivered = Vec::new();
         let mut suspended = false;
         for (k, (_, ev)) in evs.into_iter().enumerate() {
@@ -118,7 +118,8 @@ proptest! {
         // embedding world would: closures addressed to processes that died
         // in the meantime are dropped there.
         let mut delivered = 0usize;
-        for (_, ev) in net.take_events() {
+        let closures: Vec<_> = net.take_events().collect();
+        for (_, ev) in closures {
             match net.gate(ev) {
                 Gated::Deliver(NetEvent::Closed { proc, .. }) => {
                     prop_assert!(net.is_alive(proc));

@@ -508,8 +508,8 @@ impl ProtocolBackend for ReplicaCluster {
         }
     }
 
-    fn take_outputs(&mut self) -> Vec<(SimTime, ReplEv)> {
-        std::mem::take(&mut self.out)
+    fn take_outputs(&mut self) -> std::vec::Drain<'_, (SimTime, ReplEv)> {
+        self.out.drain(..)
     }
 
     fn take_hooks(&mut self) -> Vec<Hook> {

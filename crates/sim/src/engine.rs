@@ -65,6 +65,8 @@ pub trait Model {
 
 /// Event sink handed to [`Model::handle`]; buffers newly scheduled events
 /// until the current event finishes, then merges them into the engine queue.
+/// The engine owns one scheduler for its whole life, so the buffer is
+/// allocated once and reused by every step.
 pub struct Scheduler<E> {
     now: SimTime,
     current: Option<EventId>,
@@ -127,6 +129,7 @@ pub struct Engine<M: Model> {
     queue_hwm: usize,
     profile: WallProfile,
     causal: CausalLog,
+    sched: Scheduler<M::Event>,
 }
 
 impl<M: Model> Engine<M> {
@@ -153,6 +156,11 @@ impl<M: Model> Engine<M> {
             queue_hwm: 0,
             profile: WallProfile::disabled(),
             causal: CausalLog::disabled(),
+            sched: Scheduler {
+                now: SimTime::ZERO,
+                current: None,
+                pending: Vec::new(),
+            },
         }
     }
 
@@ -329,11 +337,8 @@ impl<M: Model> Engine<M> {
                 track: self.model.event_track(&ev),
             });
         }
-        let mut sched = Scheduler {
-            now: at,
-            current: Some(id),
-            pending: Vec::new(),
-        };
+        self.sched.now = at;
+        self.sched.current = Some(id);
         let started = self.profile.maybe_start();
         let deep = failmpi_obs::prof::is_enabled();
         let kind = if started.is_some() || deep {
@@ -345,9 +350,11 @@ impl<M: Model> Engine<M> {
         // handler *and* the scheduling it triggers (queue push-back) to
         // this event kind, and roots the span tree at the kind.
         let scope = if deep { failmpi_obs::prof::event(kind) } else { None };
-        self.model.handle(at, ev, &mut sched);
+        self.model.handle(at, ev, &mut self.sched);
         self.profile.record(kind, started);
-        for (t, e) in sched.pending {
+        // Drained in scheduling order, so queue `seq`s are assigned exactly
+        // as if each push had gone straight to the queue.
+        for (t, e) in self.sched.pending.drain(..) {
             self.queue.push_caused(t, e, Some(id));
         }
         drop(scope);
